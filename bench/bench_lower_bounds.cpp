@@ -16,7 +16,6 @@
 #include "bench_common.hpp"
 #include "cuttree/quality.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
-#include "flow/min_cut.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
 #include "reduction/star_expansion.hpp"

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "flow/cut_engine.hpp"
@@ -55,6 +57,16 @@ StatusOr<Tree> Tree::from_arrays(std::span<const NodeId> parent,
   if (parent.size() != node_weight.size() ||
       parent.size() != edge_weight.size()) {
     return Status::InvalidArgument("tree array lengths disagree");
+  }
+  // Weights must be >= +0.0: the cut DPs' exactness (and a dominating
+  // set_cut) rests on it. signbit also refuses -0.0.
+  for (std::size_t i = 0; i < parent.size(); ++i) {
+    for (const double w : {node_weight[i], edge_weight[i]}) {
+      if (std::isnan(w) || std::signbit(w)) {
+        return Status::InvalidArgument(
+            "tree weight negative or NaN at node " + std::to_string(i));
+      }
+    }
   }
   const auto n = static_cast<NodeId>(parent.size());
   if (parent[0] != -1) {
@@ -160,19 +172,77 @@ double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
                           const std::vector<VertexId>& b) {
   // States: 0 = node in cut, 1 = exposed to A, 2 = exposed to B,
   // 3 = neutral (component touches neither terminal set).
-  const Terminals terminals = mark_terminals(t, a, b);
-  const NodeId n = t.num_nodes();
-  std::vector<std::array<double, 4>> dp(static_cast<std::size_t>(n));
-  for (NodeId v = n - 1; v >= 0; --v) {
-    const auto idx = static_cast<std::size_t>(v);
-    const std::int8_t own = terminals.mark[idx];
-    auto& d = dp[idx];
+  //
+  // Only the terminals' root paths are visited. With weights >= +0.0 a
+  // subtree without terminals has states (w, +0.0, +0.0, +0.0), w >= 0,
+  // so it adds exactly +0.0 to every state of its parent (x + 0.0 == x).
+  // Skipping the clamp that follows it changes nothing either: only state
+  // 0 can exceed kUnreachable, and every read of it is a min against a
+  // state that cannot. On-path children are folded in ascending id — the
+  // order children() lists them in — so every remaining addition happens
+  // in the order of the full bottom-up sweep.
+  std::vector<NodeId> a_nodes;
+  a_nodes.reserve(a.size());
+  for (VertexId v : a) {
+    const NodeId node = t.node_of_vertex(v);
+    HT_CHECK(node != -1);
+    a_nodes.push_back(node);
+  }
+  std::sort(a_nodes.begin(), a_nodes.end());
+  a_nodes.erase(std::unique(a_nodes.begin(), a_nodes.end()), a_nodes.end());
+
+  // Max-heap on node id. A tag >= 0 is a finished child's index into
+  // `states`; the seeds mark terminal nodes. Parents precede children, so
+  // popping in descending id finishes every child before its parent.
+  constexpr std::int32_t kSeedA = -1;
+  constexpr std::int32_t kSeedB = -2;
+  struct Entry {
+    NodeId node;
+    std::int32_t tag;
+  };
+  const auto lower = [](const Entry& x, const Entry& y) {
+    return x.node < y.node;
+  };
+  std::vector<Entry> heap;
+  heap.reserve(a_nodes.size() + b.size());
+  for (NodeId node : a_nodes) heap.push_back({node, kSeedA});
+  for (VertexId v : b) {
+    const NodeId node = t.node_of_vertex(v);
+    HT_CHECK(node != -1);
+    HT_CHECK_MSG(!std::binary_search(a_nodes.begin(), a_nodes.end(), node),
+                 "A and B map to the same tree node");
+    heap.push_back({node, kSeedB});
+  }
+  std::make_heap(heap.begin(), heap.end(), lower);
+
+  std::vector<std::array<double, 4>> states;  // finished, descending id
+  std::vector<std::int32_t> kids;
+  while (!heap.empty()) {
+    const NodeId v = heap.front().node;
+    std::int8_t own = 0;
+    kids.clear();
+    while (!heap.empty() && heap.front().node == v) {
+      const std::int32_t tag = heap.front().tag;
+      if (tag == kSeedA) {
+        own = 1;
+      } else if (tag == kSeedB) {
+        own = 2;
+      } else {
+        kids.push_back(tag);
+      }
+      std::pop_heap(heap.begin(), heap.end(), lower);
+      heap.pop_back();
+    }
+    // A child finished later has a smaller id: descending index order is
+    // ascending id order.
+    std::sort(kids.begin(), kids.end(), std::greater<>());
+    std::array<double, 4> d;
     d[0] = t.node_weight(v);
     d[1] = own == 2 ? kUnreachable : 0.0;
     d[2] = own == 1 ? kUnreachable : 0.0;
     d[3] = own != 0 ? kUnreachable : 0.0;
-    for (NodeId c : t.children(v)) {
-      const auto& dc = dp[static_cast<std::size_t>(c)];
+    for (std::int32_t k : kids) {
+      const auto& dc = states[static_cast<std::size_t>(k)];
       const double child_any =
           std::min(std::min(dc[0], dc[1]), std::min(dc[2], dc[3]));
       d[0] += child_any;
@@ -182,8 +252,15 @@ double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
       d[3] += std::min(dc[0], dc[3]);
       for (double& x : d) x = std::min(x, kUnreachable);
     }
+    states.push_back(d);
+    const NodeId p = t.parent(v);
+    if (p != -1) {
+      heap.push_back({p, static_cast<std::int32_t>(states.size() - 1)});
+      std::push_heap(heap.begin(), heap.end(), lower);
+    }
   }
-  const auto& r = dp[static_cast<std::size_t>(t.root())];
+  if (states.empty()) return 0.0;  // no terminals: nothing to separate
+  const auto& r = states.back();   // the root has the smallest id
   return std::min(std::min(r[0], r[1]), std::min(r[2], r[3]));
 }
 

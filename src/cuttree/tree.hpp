@@ -80,8 +80,10 @@ class Tree {
   /// point: the arrays come straight out of an mmap'ed, checksummed but
   /// otherwise untrusted file). Validates every invariant add_node/
   /// set_vertex_node would have enforced — root at node 0, parent[i] < i,
-  /// equal array lengths, every vertex embedded at a valid node — and
-  /// returns kInvalidArgument instead of crashing on violations.
+  /// equal array lengths, every vertex embedded at a valid node — plus
+  /// the cut DPs' precondition that every node and edge weight is >= +0.0
+  /// (negative, -0.0 and NaN weights are refused), and returns
+  /// kInvalidArgument instead of crashing on violations.
   static StatusOr<Tree> from_arrays(std::span<const NodeId> parent,
                                     std::span<const double> node_weight,
                                     std::span<const double> edge_weight,
@@ -110,7 +112,11 @@ class Tree {
 double tree_vertex_cut_flow(const Tree& t, const std::vector<VertexId>& a,
                             const std::vector<VertexId>& b);
 
-/// Same value via an exact O(|T|) tree DP — the independent cross-check.
+/// Same value via an exact tree DP — the independent cross-check. Visits
+/// only the root paths of A's and B's nodes, O(path · log(|A| + |B|)),
+/// and needs node weights >= +0.0 (Tree::from_arrays enforces that for
+/// loaded trees). Every vertex of A and B must be embedded, and no node
+/// may hold vertices of both (HT_CHECK).
 double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
                           const std::vector<VertexId>& b);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <span>
 
 #include "flow/certificate.hpp"
 #include "flow/flow_network.hpp"
@@ -408,30 +409,47 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
 // ---------------------------------------------------------------------------
 // Gomory–Hu trees
 
-double GomoryHuTree::min_cut(GraphVertexId s, GraphVertexId t) const {
+namespace {
+
+/// Minimum parent_cut on the s..t tree path, with no stored path: climb to
+/// the root once per endpoint for the depths, lift the deeper endpoint,
+/// then lift both until they meet. Each side folds its edges bottom-up and
+/// the s-side minimum is combined first, so the result equals one
+/// std::min fold over the s-side edges and then the t-side edges, bit for
+/// bit (std::min keeps the earlier of two equal values, e.g. -0.0, +0.0).
+double tree_path_min(std::span<const std::int32_t> parent,
+                     std::span<const double> parent_cut, std::int32_t s,
+                     std::int32_t t) {
   HT_CHECK(s != t);
-  // Walk both vertices to the root recording depth-annotated paths; the
-  // answer is the minimum parent_cut on the s..t tree path.
-  auto path_to_root = [this](GraphVertexId v) {
-    std::vector<GraphVertexId> path{v};
-    while (parent[static_cast<std::size_t>(path.back())] != -1)
-      path.push_back(parent[static_cast<std::size_t>(path.back())]);
-    return path;
+  const auto up = [&](std::int32_t v) {
+    return parent[static_cast<std::size_t>(v)];
   };
-  std::vector<GraphVertexId> ps = path_to_root(s);
-  std::vector<GraphVertexId> pt = path_to_root(t);
-  // Strip the common suffix (shared ancestors) but keep the LCA junction.
-  std::size_t is = ps.size(), it = pt.size();
-  while (is > 0 && it > 0 && ps[is - 1] == pt[it - 1]) {
-    --is;
-    --it;
+  const auto depth = [&](std::int32_t v) {
+    int d = 0;
+    for (; up(v) != -1; v = up(v)) ++d;
+    return d;
+  };
+  const auto take = [&](double& best, std::int32_t& v) {
+    best = std::min(best, parent_cut[static_cast<std::size_t>(v)]);
+    v = up(v);
+  };
+  int ds = depth(s);
+  int dt = depth(t);
+  double best_s = kInfiniteCapacity;
+  double best_t = kInfiniteCapacity;
+  for (; ds > dt; --ds) take(best_s, s);
+  for (; dt > ds; --dt) take(best_t, t);
+  while (s != t) {
+    take(best_s, s);
+    take(best_t, t);
   }
-  double best = kInfiniteCapacity;
-  for (std::size_t i = 0; i < is; ++i)
-    best = std::min(best, parent_cut[static_cast<std::size_t>(ps[i])]);
-  for (std::size_t i = 0; i < it; ++i)
-    best = std::min(best, parent_cut[static_cast<std::size_t>(pt[i])]);
-  return best;
+  return std::min(best_s, best_t);
+}
+
+}  // namespace
+
+double GomoryHuTree::min_cut(GraphVertexId s, GraphVertexId t) const {
+  return tree_path_min(parent, parent_cut, s, t);
 }
 
 Graph GomoryHuTree::as_graph() const {
@@ -446,26 +464,7 @@ Graph GomoryHuTree::as_graph() const {
 
 double HypergraphGomoryHuTree::min_cut(HyperVertexId s,
                                        HyperVertexId t) const {
-  HT_CHECK(s != t);
-  auto path_to_root = [this](HyperVertexId v) {
-    std::vector<HyperVertexId> path{v};
-    while (parent[static_cast<std::size_t>(path.back())] != -1)
-      path.push_back(parent[static_cast<std::size_t>(path.back())]);
-    return path;
-  };
-  std::vector<HyperVertexId> ps = path_to_root(s);
-  std::vector<HyperVertexId> pt = path_to_root(t);
-  std::size_t is = ps.size(), it = pt.size();
-  while (is > 0 && it > 0 && ps[is - 1] == pt[it - 1]) {
-    --is;
-    --it;
-  }
-  double best = kInfiniteCapacity;
-  for (std::size_t i = 0; i < is; ++i)
-    best = std::min(best, parent_cut[static_cast<std::size_t>(ps[i])]);
-  for (std::size_t i = 0; i < it; ++i)
-    best = std::min(best, parent_cut[static_cast<std::size_t>(pt[i])]);
-  return best;
+  return tree_path_min(parent, parent_cut, s, t);
 }
 
 namespace {

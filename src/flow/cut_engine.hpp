@@ -9,13 +9,9 @@
 //   auto tree = engine.gomory_hu(g);                  // graph cut tree
 //   auto htree = engine.gomory_hu(h);                 // hypergraph cut tree
 //
-// This replaces the free functions that used to be scattered across
-// min_cut.hpp / gomory_hu.hpp / hypergraph_gomory_hu.hpp; those headers
-// now hold [[deprecated]] forwarders onto a default-constructed engine
-// for one release. Every knob that used to require a signature change —
-// solver choice, certificate sparsification, Gomory–Hu ordering, poll
-// cadence — is a FlowOptions field, so benches and ht::Solver can A/B
-// them without touching call sites.
+// Every knob — solver choice, certificate sparsification, Gomory–Hu
+// ordering, poll cadence — is a FlowOptions field, so benches and
+// ht::Solver can A/B them without touching call sites.
 //
 // Exactness contract: for every FlowOptions combination the engine
 // returns byte-identical results to the default configuration, except
@@ -77,7 +73,7 @@ struct FlowOptions {
 };
 
 // ---------------------------------------------------------------------------
-// Results (shared with the deprecated free-function forwarders)
+// Results
 
 struct EdgeCutResult {
   double value = 0.0;
@@ -110,7 +106,8 @@ struct GomoryHuTree {
   std::vector<double> parent_cut;
   ht::graph::VertexId root = 0;
 
-  /// Value of the minimum s-t cut read off the tree (min edge on the path).
+  /// Value of the minimum s-t cut read off the tree (min edge on the
+  /// path). Walks the tree path in place: no allocation, O(depth).
   double min_cut(ht::graph::VertexId s, ht::graph::VertexId t) const;
 
   /// The tree as a Graph whose edge weights are the cut values.
@@ -134,7 +131,8 @@ struct HypergraphGomoryHuTree {
   std::vector<double> parent_cut;
   ht::hypergraph::VertexId root = 0;
 
-  /// Exact min s-t hyperedge cut value read off the tree.
+  /// Exact min s-t hyperedge cut value read off the tree (the same
+  /// allocation-free walk as GomoryHuTree::min_cut).
   double min_cut(ht::hypergraph::VertexId s,
                  ht::hypergraph::VertexId t) const;
 };

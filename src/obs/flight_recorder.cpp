@@ -69,13 +69,6 @@ std::int64_t FlightRecorder::now_ns() const {
       .count();
 }
 
-std::uint16_t FlightRecorder::thread_index() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local std::uint16_t index =
-      static_cast<std::uint16_t>(next.fetch_add(1, std::memory_order_relaxed));
-  return index;
-}
-
 void FlightRecorder::append(const FlightRecord& record) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);

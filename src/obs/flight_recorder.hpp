@@ -55,7 +55,7 @@ struct FlightRecord {
   double cut_value = 0.0;        // answered cut/estimate; 0 on error
   std::int64_t deadline_ns = -1; // deadline headroom at admission; -1 = none
   std::uint32_t epoch = 0;       // serving epoch the query pinned
-  std::uint16_t thread = 0;      // dense per-process thread index
+  std::uint16_t thread = 0;      // obs::thread_index(), wraps at 2^16
   QueryKind kind = QueryKind::kMinCut;
   std::uint8_t status_code = 0;  // ht::StatusCode numeric value
   bool prep_exact = false;       // served instance exactly equivalent
@@ -100,9 +100,6 @@ class FlightRecorder {
 
   /// Nanoseconds since the recorder's origin (its construction).
   std::int64_t now_ns() const;
-
-  /// Dense per-process index of the calling thread (wraps at 2^16).
-  static std::uint16_t thread_index();
 
  private:
   // Seqlock slot: ver == 0 never written; odd = write in progress;

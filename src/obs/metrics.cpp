@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+
 #include "obs/export.hpp"
 
 namespace ht::obs {
@@ -30,25 +32,65 @@ double HistogramSnapshot::quantile(double q) const {
   return static_cast<double>(max);
 }
 
+std::uint32_t detail::next_thread_index() {
+  static std::atomic<std::uint32_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (int b = 0; b < kBuckets; ++b) total += bucket(b);
+  return total;
+}
+
+std::uint64_t Histogram::sum() const {
+  std::uint64_t total = 0;
+  for (const Stripe& s : stripes_) {
+    total += s.sum.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t Histogram::max() const {
+  std::uint64_t best = 0;
+  for (const Stripe& s : stripes_) {
+    best = std::max(best, s.max.load(std::memory_order_relaxed));
+  }
+  return best;
+}
+
+std::uint64_t Histogram::bucket(int b) const {
+  std::uint64_t total = 0;
+  for (const Stripe& s : stripes_) {
+    total += s.buckets[b].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot s;
-  s.count = count();
+  for (int b = 0; b < kBuckets; ++b) {
+    s.buckets[b] = bucket(b);
+    s.count += s.buckets[b];
+  }
   s.sum = sum();
   s.max = max();
-  for (int b = 0; b < kBuckets; ++b) s.buckets[b] = bucket(b);
   return s;
 }
 
 void Histogram::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  for (Stripe& s : stripes_) {
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+    s.max.store(0, std::memory_order_relaxed);
+  }
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Never destroyed: the global pool's threads outlive static destruction
+  // and may still be updating metrics at exit.
+  static MetricsRegistry* registry = new MetricsRegistry();
+  return *registry;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "cuttree/tree_bisection.hpp"
@@ -373,20 +375,57 @@ std::pair<double, double> LoadedSnapshot::kway_cost(
 
 namespace serve::detail {
 
+/// One thread stripe of reader counts, indexed by epoch parity.
+struct alignas(64) ReaderStripe {
+  std::atomic<std::int64_t> readers[2] = {};
+};
+
+/// The state TreeServer copies share: two epoch slots indexed by parity.
+/// slot[epoch & 1] serves; slot[(epoch + 1) & 1] holds the state the last
+/// swap replaced until it is reclaimed. A query registers in its thread's
+/// reader stripe for the parity it serves from, so the hot path writes
+/// only its own stripe's cache lines and reads lines written on swap.
 struct ServerShared {
-  mutable std::mutex mu;
-  std::shared_ptr<const LoadedSnapshot> state;  // guarded by mu
-  std::uint32_t epoch = 1;                      // guarded by mu
   ServeOptions options;  // immutable after construction
-  std::atomic<std::uint64_t> queries{0};
+  std::atomic<std::uint32_t> epoch{1};
+  /// True while slot[(epoch + 1) & 1] holds a replaced state.
+  std::atomic<bool> retired{false};
+  /// Written only under mu, and only while no query is registered for the
+  /// slot's parity; the epoch store (swap) and the reader counts
+  /// (reclaim) order those writes against the queries reading it.
+  std::shared_ptr<const LoadedSnapshot> slot[2];
+
+  alignas(64) mutable std::mutex mu;  // serializes swaps and reclaims
+
+  ReaderStripe stripes[obs::kStripes];
+  obs::Counter queries;
   std::atomic<std::uint64_t> swaps{0};
 
-  /// One consistent (state, epoch) pair for a starting query.
-  std::shared_ptr<const LoadedSnapshot> acquire(
-      std::uint32_t& epoch_out) const {
-    std::lock_guard<std::mutex> lock(mu);
-    epoch_out = epoch;
-    return state;
+  std::int64_t readers(int parity) const {
+    std::int64_t total = 0;
+    for (const ReaderStripe& stripe : stripes) {
+      total += stripe.readers[parity].load(std::memory_order_acquire);
+    }
+    return total;
+  }
+
+  /// Frees the replaced state once its last reader has left. Queries call
+  /// this as they finish, so the unmap runs on a query thread and never
+  /// on swap()'s timed path; losing the try_lock just leaves it to the
+  /// next query.
+  void reclaim() {
+    const std::uint32_t e = epoch.load();
+    const int parity = static_cast<int>((e + 1) & 1);
+    if (readers(parity) != 0) return;
+    std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
+    if (!lock.owns_lock() || !retired.load() || epoch.load() != e ||
+        readers(parity) != 0) {
+      return;
+    }
+    std::shared_ptr<const LoadedSnapshot> dead = std::move(slot[parity]);
+    retired.store(false);
+    lock.unlock();
+    // `dead` unmaps here, outside the lock (pinned handles may keep it).
   }
 };
 
@@ -423,18 +462,22 @@ struct ServeMetrics {
   }
 };
 
-/// Epoch acquire + per-query bookkeeping shared by every query method.
-/// Every exit path routes its status through ok()/fail()/dp_failure(),
-/// and the destructor finalizes observability in one place: per-kind
-/// latency histogram, error counters (deadline expiries split out from
-/// genuine errors), the flight record, the on-error auto-dump, and the
-/// serve.slow_query span. The observer is constructed after the per-kind
-/// serve.* span, so destruction runs first and the slow-query span nests
-/// under the query's own span.
+/// Epoch pin + per-query bookkeeping shared by every query method.
+/// Construction registers the query as a reader of the current epoch
+/// (increment its parity's count in this thread's stripe, then re-read
+/// the epoch and retry if a swap got in between); `state` stays valid
+/// until the destructor unregisters. Every exit path routes its status
+/// through ok()/fail()/dp_failure(), and the destructor finalizes
+/// observability in one place: per-kind latency histogram, error counters
+/// (deadline expiries split out from genuine errors), the flight record,
+/// the on-error auto-dump, and the serve.slow_query span. The observer is
+/// constructed after the per-kind serve.* span, so destruction runs first
+/// and the slow-query span nests under the query's own span.
 struct QueryObserver {
-  std::shared_ptr<const serve::LoadedSnapshot> state;
-  RunScope scope;
-  const serve::ServeOptions& options;
+  ServerShared& shared;
+  const RunContext& ctx;
+  serve::detail::ReaderStripe& stripe;
+  const serve::LoadedSnapshot* state = nullptr;
   obs::QueryKind kind;
   std::uint32_t epoch = 0;
   std::int64_t start_ns = 0;
@@ -442,11 +485,17 @@ struct QueryObserver {
   double cut_value = 0.0;
   StatusCode code = StatusCode::kOk;
 
-  QueryObserver(ServerShared& shared, obs::QueryKind k,
-                const RunContext& ctx)
-      : scope(ctx), options(shared.options), kind(k) {
-    state = shared.acquire(epoch);
-    shared.queries.fetch_add(1, std::memory_order_relaxed);
+  QueryObserver(ServerShared& s, obs::QueryKind k, const RunContext& c)
+      : shared(s), ctx(c), stripe(s.stripes[obs::thread_stripe()]),
+        kind(k) {
+    for (;;) {
+      epoch = shared.epoch.load();
+      stripe.readers[epoch & 1].fetch_add(1);
+      if (shared.epoch.load() == epoch) break;
+      stripe.readers[epoch & 1].fetch_sub(1, std::memory_order_release);
+    }
+    state = shared.slot[epoch & 1].get();
+    shared.queries.add();
     ServeMetrics::get().queries.add();
     start_ns = obs::FlightRecorder::global().now_ns();
     if (ctx.has_deadline()) {
@@ -470,6 +519,7 @@ struct QueryObserver {
     } else if (code != StatusCode::kOk) {
       metrics.query_errors.add();
     }
+    const serve::ServeOptions& options = shared.options;
     if (options.flight_recorder) {
       obs::FlightRecord record;
       record.start_ns = start_ns;
@@ -477,7 +527,7 @@ struct QueryObserver {
       record.cut_value = cut_value;
       record.deadline_ns = deadline_ns;
       record.epoch = epoch;
-      record.thread = obs::FlightRecorder::thread_index();
+      record.thread = static_cast<std::uint16_t>(obs::thread_index());
       record.kind = kind;
       record.status_code = static_cast<std::uint8_t>(code);
       record.prep_exact =
@@ -498,10 +548,13 @@ struct QueryObserver {
       span.arg("status", static_cast<std::int64_t>(code));
       span.arg("deadline_ns", deadline_ns);
     }
+    stripe.readers[epoch & 1].fetch_sub(1, std::memory_order_release);
+    if (shared.retired.load(std::memory_order_relaxed)) shared.reclaim();
   }
 
-  /// Poll once (deadline / cancel) before starting the DP.
-  Status admission() { return fail(scope.state().check()); }
+  /// Polls the caller's cancel token and deadline once before any work.
+  /// Only bisection() and kway() bind the context for their DPs' polls.
+  Status admission() { return fail(ctx.check()); }
 
   /// Routes a terminal status through the observer (ok statuses pass
   /// through untouched).
@@ -512,7 +565,7 @@ struct QueryObserver {
 
   /// Maps an invalid DP result to the run's stop status (deadline /
   /// cancel latched mid-DP) or Internal for a genuine DP failure.
-  Status dp_failure(const char* what) {
+  Status dp_failure(const RunScope& scope, const char* what) {
     Status stop = scope.status();
     if (!stop.ok()) return fail(std::move(stop));
     return fail(Status::Internal(std::string(what) +
@@ -539,8 +592,8 @@ TreeServer TreeServer::from_state(
     std::shared_ptr<const serve::LoadedSnapshot> state,
     serve::ServeOptions options) {
   auto shared = std::make_shared<ServerShared>();
-  shared->state = std::move(state);
   shared->options = std::move(options);
+  shared->slot[1] = std::move(state);  // epoch 1 serves from parity 1
   return TreeServer(std::move(shared));
 }
 
@@ -553,25 +606,33 @@ Status TreeServer::swap(const std::string& path) {
     obs::MetricsRegistry::global().counter("serve.swap_failures").add();
     return next.status();
   }
+  ServerShared& shared = *shared_;
+  // The state two epochs old, still held only when no query finished
+  // since the last swap to reclaim it (an idle server); freed on return.
+  std::shared_ptr<const serve::LoadedSnapshot> unreclaimed;
   {
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    shared_->state = std::move(*next);
-    ++shared_->epoch;
+    std::lock_guard<std::mutex> lock(shared.mu);
+    const std::uint32_t e = shared.epoch.load();
+    const int parity = static_cast<int>((e + 1) & 1);
+    // Queries that began two epochs ago (spanning two swaps) may still
+    // read the slot being replaced; they finish against it first.
+    while (shared.readers(parity) != 0) std::this_thread::yield();
+    unreclaimed = std::move(shared.slot[parity]);
+    shared.slot[parity] = std::move(*next);
+    shared.epoch.store(e + 1);
+    shared.retired.store(true);
   }
-  shared_->swaps.fetch_add(1, std::memory_order_relaxed);
+  shared.swaps.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::global().counter("serve.swaps").add();
   return Status::Ok();
 }
 
 std::shared_ptr<const serve::LoadedSnapshot> TreeServer::state() const {
   std::lock_guard<std::mutex> lock(shared_->mu);
-  return shared_->state;
+  return shared_->slot[shared_->epoch.load() & 1];
 }
 
-std::uint32_t TreeServer::epoch() const {
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  return shared_->epoch;
-}
+std::uint32_t TreeServer::epoch() const { return shared_->epoch.load(); }
 
 const serve::ServeOptions& TreeServer::options() const {
   return shared_->options;  // immutable after construction
@@ -659,20 +720,20 @@ StatusOr<TreeServer::SetCutAnswer> TreeServer::set_cut(
     return guard.fail(
         Status::InvalidArgument("set_cut needs non-empty sides"));
   }
-  std::vector<bool> in_a(static_cast<std::size_t>(n), false);
   for (std::int32_t v : a) {
     if (v < 0 || v >= n) {
       return guard.fail(
           Status::InvalidArgument("set_cut vertex out of range"));
     }
-    in_a[static_cast<std::size_t>(v)] = true;
   }
+  std::vector<std::int32_t> sorted_a(a);
+  std::sort(sorted_a.begin(), sorted_a.end());
   for (std::int32_t v : b) {
     if (v < 0 || v >= n) {
       return guard.fail(
           Status::InvalidArgument("set_cut vertex out of range"));
     }
-    if (in_a[static_cast<std::size_t>(v)]) {
+    if (std::binary_search(sorted_a.begin(), sorted_a.end(), v)) {
       return guard.fail(
           Status::InvalidArgument("set_cut sides must be disjoint"));
     }
@@ -681,19 +742,15 @@ StatusOr<TreeServer::SetCutAnswer> TreeServer::set_cut(
   // contracted them together (or the star expansion embedded them so);
   // the DP's terminal marking treats that as a caller error, so reject it
   // here as a Status instead.
-  {
-    const cuttree::Tree& tree = *snap.vertex_cut_tree;
-    std::vector<bool> node_in_a(static_cast<std::size_t>(tree.num_nodes()),
-                                false);
-    for (std::int32_t v : a) {
-      node_in_a[static_cast<std::size_t>(tree.node_of_vertex(v))] = true;
-    }
-    for (std::int32_t v : b) {
-      if (node_in_a[static_cast<std::size_t>(tree.node_of_vertex(v))]) {
-        return guard.fail(Status::InvalidArgument(
-            "set_cut sides share a tree node (vertices merged by "
-            "preprocessing)"));
-      }
+  const cuttree::Tree& tree = *snap.vertex_cut_tree;
+  for (std::int32_t& v : sorted_a) v = tree.node_of_vertex(v);
+  std::sort(sorted_a.begin(), sorted_a.end());
+  for (std::int32_t v : b) {
+    if (std::binary_search(sorted_a.begin(), sorted_a.end(),
+                           tree.node_of_vertex(v))) {
+      return guard.fail(Status::InvalidArgument(
+          "set_cut sides share a tree node (vertices merged by "
+          "preprocessing)"));
     }
   }
   SetCutAnswer answer;
@@ -722,9 +779,10 @@ StatusOr<TreeServer::BisectionAnswer> TreeServer::bisection(
   }
   std::vector<cuttree::VertexId> counted(static_cast<std::size_t>(n));
   for (std::int32_t v = 0; v < n; ++v) counted[static_cast<std::size_t>(v)] = v;
+  RunScope scope(ctx);  // the DP polls the run
   const auto result =
       cuttree::balanced_tree_bisection(*snap.vertex_cut_tree, counted);
-  if (!result.valid) return guard.dp_failure("bisection");
+  if (!result.valid) return guard.dp_failure(scope, "bisection");
   BisectionAnswer answer;
   answer.side = result.side;
   answer.tree_cut = result.tree_cut;
@@ -757,10 +815,11 @@ StatusOr<TreeServer::KwayAnswer> TreeServer::kway(std::int32_t k,
   }
   // Peel one n/k block per round off the decomposition tree with the
   // exact edge-cut DP; the last block is the residue.
+  RunScope scope(ctx);  // the DPs poll the run
   for (std::int32_t round = 0; round + 1 < k; ++round) {
     const auto result =
         cuttree::tree_edge_partition(*snap.decomposition, remaining, block);
-    if (!result.valid) return guard.dp_failure("kway");
+    if (!result.valid) return guard.dp_failure(scope, "kway");
     answer.tree_cut += result.tree_cut;
     std::vector<cuttree::VertexId> next;
     next.reserve(remaining.size() - static_cast<std::size_t>(block));
@@ -803,7 +862,7 @@ TreeServer::Info TreeServer::info() const {
   info.num_shards = snap->has_shards ? snap->shard.num_shards : 0;
   info.shards_completed = snap->has_shards ? snap->shard.shards_completed : 0;
   info.boundary_edges = snap->has_shards ? snap->shard.boundary_edges : 0;
-  info.queries = shared_->queries.load(std::memory_order_relaxed);
+  info.queries = shared_->queries.value();
   info.swaps = shared_->swaps.load(std::memory_order_relaxed);
   info.epoch = epoch();
   return info;

@@ -9,29 +9,39 @@
 // path; the expensive build is amortized over unbounded queries.
 //
 // Hot-swap: swap(path) loads and fully validates a new snapshot OFF the
-// query path, then publishes it with a shared_ptr epoch handoff — each
-// query pins the epoch it started on, in-flight queries on the old
-// snapshot finish against the old mapping, and the old mapping is
-// unmapped when its last query drops the reference. A failed swap keeps
-// the current snapshot serving (the "mmap.bytes" gauge lets tests assert
-// no mapping leaks across swap storms). TreeServer is a copyable handle;
-// copies share the served epoch.
+// query path, then publishes it through two epoch slots indexed by epoch
+// parity. A query registers as a reader of the current parity in its
+// thread's cache-line padded counter stripe, re-reads the epoch (retrying
+// if a swap got in between) and serves from the slot's raw pointer, so
+// in-flight queries on the old snapshot finish against the old mapping.
+// swap() installs into the other slot once that slot's readers (queries
+// begun two epochs ago) are gone, then bumps the epoch. The state it
+// replaced stays mapped until its last reader leaves; the first query to
+// finish after that unmaps it (under a try_lock, so never blocking), and
+// swap() frees it itself only if no query did by the next swap (an idle
+// server). At most two epochs stay mapped, plus any state() handles still
+// held. A failed swap keeps the current snapshot serving (the
+// "mmap.bytes" gauge lets tests assert no mapping leaks across swap
+// storms). TreeServer is a copyable handle; copies share the served epoch.
 //
-// Every query accepts a per-query RunContext (deadline / cancel), bound
-// via the usual RunScope so the tree DPs' cooperative polls observe it,
-// and runs under a trace span with "serve.*" metrics.
+// Every query accepts a per-query RunContext (deadline / cancel), checked
+// once at admission, and runs under a trace span with "serve.*" metrics.
+// The point queries (min_cut, global_min_cut, set_cut) run in O(tree
+// path) and never poll, so they bind no RunScope; bisection() and kway()
+// bind one around their DPs, whose cooperative polls observe it. The
+// query path writes only per-thread metric and reader stripes, apart from
+// the flight recorder's global sequence counter.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cuttree/tree.hpp"
-#include "flow/hypergraph_gomory_hu.hpp"
+#include "flow/cut_engine.hpp"
 #include "serve/snapshot_reader.hpp"
 #include "util/run_context.hpp"
 #include "util/status.hpp"
@@ -228,7 +238,8 @@ class TreeServer {
   /// The observability knobs this server was opened with.
   const serve::ServeOptions& options() const;
 
-  /// Exact min s-t hyperedge cut via the Gomory–Hu tree walk.
+  /// Exact min s-t hyperedge cut via the Gomory–Hu tree walk (no heap
+  /// allocation on the answered path).
   StatusOr<MinCutAnswer> min_cut(std::int32_t s, std::int32_t t,
                                  const RunContext& ctx = {}) const;
 
@@ -240,7 +251,8 @@ class TreeServer {
   StatusOr<MinCutAnswer> global_min_cut(const RunContext& ctx = {}) const;
 
   /// Dominating delta_H(A, B) estimate via the vertex-cut-tree DP over
-  /// the star expansion (A, B disjoint, non-empty sets of vertex ids).
+  /// the star expansion (A, B disjoint, non-empty sets of vertex ids);
+  /// visits only the root paths of A's and B's tree nodes.
   StatusOr<SetCutAnswer> set_cut(const std::vector<std::int32_t>& a,
                                  const std::vector<std::int32_t>& b,
                                  const RunContext& ctx = {}) const;

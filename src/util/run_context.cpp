@@ -9,10 +9,10 @@
 
 namespace ht {
 
-Status RunState::status() const {
-  const int code = stop_code_.load(std::memory_order_relaxed);
-  if (code == 0) return Status::Ok();
-  switch (static_cast<StatusCode>(code)) {
+namespace {
+
+Status stop_status(StatusCode code) {
+  switch (code) {
     case StatusCode::kCancelled:
       return Status::Cancelled("run cancelled");
     case StatusCode::kDeadlineExceeded:
@@ -20,18 +20,29 @@ Status RunState::status() const {
     case StatusCode::kResourceExhausted:
       return Status::ResourceExhausted("run budget exhausted");
     default:
-      return Status(static_cast<StatusCode>(code), "run stopped");
+      return Status(code, "run stopped");
   }
+}
+
+}  // namespace
+
+Status RunContext::check() const {
+  if (cancel.cancelled()) return stop_status(StatusCode::kCancelled);
+  if (has_deadline() && Clock::now() >= deadline) {
+    return stop_status(StatusCode::kDeadlineExceeded);
+  }
+  return Status::Ok();
+}
+
+Status RunState::status() const {
+  const int code = stop_code_.load(std::memory_order_relaxed);
+  if (code == 0) return Status::Ok();
+  return stop_status(static_cast<StatusCode>(code));
 }
 
 Status RunState::check() {
   if (stopped()) return status();
-  if (ctx_.cancel.cancelled()) {
-    latch(StatusCode::kCancelled);
-  } else if (ctx_.has_deadline() &&
-             RunContext::Clock::now() >= ctx_.deadline) {
-    latch(StatusCode::kDeadlineExceeded);
-  }
+  latch(ctx_.check().code());
   return status();
 }
 

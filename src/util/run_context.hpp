@@ -108,6 +108,11 @@ struct RunContext {
 
   bool has_deadline() const { return deadline != kNoDeadline; }
 
+  /// Polls the cancel token, then the deadline (one clock read when one
+  /// is set): Ok, or the status RunState::check() would latch now. For
+  /// callers that check once and never bind a RunScope.
+  Status check() const;
+
   /// Builder-style helpers.
   RunContext& with_deadline_after(std::chrono::nanoseconds timeout) {
     deadline = Clock::now() + timeout;

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "cuttree/edge_cut_trees.hpp"
 #include "cuttree/quality.hpp"
@@ -10,6 +17,8 @@
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
+#include "serve/snapshot_build.hpp"
+#include "serve/tree_server.hpp"
 #include "util/rng.hpp"
 #include "util/subsets.hpp"
 #include "util/thread_pool.hpp"
@@ -127,6 +136,142 @@ TEST_P(TreeCutCrossCheck, FlowEqualsDpOnRandomTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TreeCutCrossCheck,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---------- root-path vertex-cut DP vs. the full sweep ----------
+
+/// Reference: the full O(|T|) bottom-up sweep over every node, children
+/// folded in ascending id. The root-path DP must match it bit for bit.
+double full_sweep_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
+                                const std::vector<VertexId>& b) {
+  constexpr double kUnreachable = 1e200;
+  const NodeId n = t.num_nodes();
+  std::vector<std::int8_t> mark(static_cast<std::size_t>(n), 0);
+  for (VertexId v : a) mark[static_cast<std::size_t>(t.node_of_vertex(v))] = 1;
+  for (VertexId v : b) mark[static_cast<std::size_t>(t.node_of_vertex(v))] = 2;
+  std::vector<std::array<double, 4>> dp(static_cast<std::size_t>(n));
+  for (NodeId v = n - 1; v >= 0; --v) {
+    const auto idx = static_cast<std::size_t>(v);
+    const std::int8_t own = mark[idx];
+    auto& d = dp[idx];
+    d[0] = t.node_weight(v);
+    d[1] = own == 2 ? kUnreachable : 0.0;
+    d[2] = own == 1 ? kUnreachable : 0.0;
+    d[3] = own != 0 ? kUnreachable : 0.0;
+    for (NodeId c : t.children(v)) {
+      const auto& dc = dp[static_cast<std::size_t>(c)];
+      d[0] += std::min(std::min(dc[0], dc[1]), std::min(dc[2], dc[3]));
+      d[1] += std::min(dc[0], std::min(dc[1], dc[3]));
+      d[2] += std::min(dc[0], std::min(dc[2], dc[3]));
+      d[3] += std::min(dc[0], dc[3]);
+      for (double& x : d) x = std::min(x, kUnreachable);
+    }
+  }
+  const auto& r = dp[static_cast<std::size_t>(t.root())];
+  return std::min(std::min(r[0], r[1]), std::min(r[2], r[3]));
+}
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+/// Random terminal sets of 1..4 vertices in [0, n) each whose tree nodes
+/// do not collide (the DP's precondition); false if none was found.
+bool random_terminal_sets(const Tree& t, VertexId n, ht::Rng& rng,
+                          std::vector<VertexId>& a, std::vector<VertexId>& b) {
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    a.clear();
+    b.clear();
+    const auto na = 1 + rng.next_below(4);
+    const auto nb = 1 + rng.next_below(4);
+    for (std::uint64_t i = 0; i < na; ++i)
+      a.push_back(static_cast<VertexId>(rng.next_below(n)));
+    bool clash = false;
+    for (std::uint64_t i = 0; i < nb && !clash; ++i) {
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      for (VertexId x : a) clash |= t.node_of_vertex(x) == t.node_of_vertex(v);
+      b.push_back(v);
+    }
+    if (!clash) return true;
+  }
+  return false;
+}
+
+TEST(TreeVertexCutDp, RootPathDpMatchesFullSweepBitForBit) {
+  // Non-integral, zero, "infinite" (1e15) and above-the-clamp weights, on
+  // shallow bushy trees and deep chains, with several vertices per node.
+  const double kSpecial[] = {0.0, 1e15, 1e15, 3e250};
+  ht::Rng rng(2911);
+  int compared = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto nodes = static_cast<NodeId>(1 + rng.next_below(300));
+    const bool chainy = rng.next_below(2) == 0;
+    Tree t;
+    const auto weight = [&] {
+      return rng.next_below(5) == 0
+                 ? kSpecial[rng.next_below(std::size(kSpecial))]
+                 : rng.next_double() * 10.0;
+    };
+    t.add_node(-1, weight());
+    for (NodeId v = 1; v < nodes; ++v) {
+      const auto span = chainy ? std::min<NodeId>(v, 3) : v;
+      t.add_node(v - 1 - static_cast<NodeId>(rng.next_below(span)), weight(),
+                 rng.next_double());
+    }
+    const auto n = static_cast<VertexId>(2 + rng.next_below(40));
+    t.reserve_vertices(n);
+    for (VertexId v = 0; v < n; ++v)
+      t.set_vertex_node(v, static_cast<NodeId>(rng.next_below(nodes)));
+    std::vector<VertexId> a, b;
+    for (int q = 0; q < 4; ++q) {
+      if (!random_terminal_sets(t, n, rng, a, b)) continue;
+      ASSERT_TRUE(same_bits(ht::cuttree::tree_vertex_cut_dp(t, a, b),
+                            full_sweep_vertex_cut_dp(t, a, b)))
+          << "trial " << trial << " query " << q;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 5000);
+}
+
+TEST(TreeVertexCutDp, RootPathDpMatchesFullSweepOnAServedTree) {
+  ht::Rng rng(77);
+  const auto h = ht::hypergraph::random_uniform(120, 360, 4, rng);
+  ASSERT_TRUE(ht::hypergraph::is_connected(h));
+  const std::string path = testing::TempDir() + "cuttree_served_vct.htsnap";
+  ASSERT_TRUE(ht::snapshot::write(h, path, {}).ok());
+  auto server = ht::TreeServer::open(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  const auto state = server->state();
+  const Tree& tree = *state->vertex_cut_tree;
+  std::vector<VertexId> a, b;
+  int compared = 0;
+  for (int q = 0; q < 2000; ++q) {
+    if (!random_terminal_sets(tree, h.num_vertices(), rng, a, b)) continue;
+    const double reference = full_sweep_vertex_cut_dp(tree, a, b);
+    ASSERT_TRUE(same_bits(ht::cuttree::tree_vertex_cut_dp(tree, a, b),
+                          reference));
+    const auto served = server->set_cut(a, b);
+    ASSERT_TRUE(served.ok()) << served.status().to_string();
+    ASSERT_TRUE(same_bits(served->value, reference));
+    ++compared;
+  }
+  EXPECT_GT(compared, 1000);
+}
+
+TEST(TreeVertexCutDp, KeepsTheTerminalChecks) {
+  // A and B on one node, or an unembedded vertex on either side, is a
+  // caller error.
+  const Tree t = simple_path_tree();
+  EXPECT_THROW(ht::cuttree::tree_vertex_cut_dp(t, {0}, {0}), std::logic_error);
+  Tree unembedded;
+  unembedded.reserve_vertices(2);
+  unembedded.set_vertex_node(0, unembedded.add_node(-1, 1.0));
+  EXPECT_THROW(ht::cuttree::tree_vertex_cut_dp(unembedded, {0}, {1}),
+               std::logic_error);
+  EXPECT_THROW(ht::cuttree::tree_vertex_cut_dp(unembedded, {1}, {0}),
+               std::logic_error);
+}
 
 // ---------- Section 3.1 construction ----------
 
@@ -500,6 +645,29 @@ TEST(TreeFromArrays, RejectsVertexEmbeddingOutOfRange) {
   const std::vector<ht::cuttree::NodeId> vertex_node = {2};  // only 2 nodes
   const auto tree = Tree::from_arrays(parent, weights, weights, vertex_node);
   EXPECT_EQ(tree.status().code(), ht::StatusCode::kInvalidArgument);
+}
+
+TEST(TreeFromArrays, RejectsNegativeOrNanWeights) {
+  const std::vector<ht::cuttree::NodeId> parent = {-1, 0, 0};
+  const std::vector<ht::cuttree::NodeId> vertex_node = {1, 2};
+  const std::vector<double> good = {1.0, 0.0, 1e15};
+  for (const double bad : {-1.0, -0.0, std::nan("")}) {
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      std::vector<double> weights = good;
+      weights[i] = bad;
+      EXPECT_EQ(Tree::from_arrays(parent, weights, good, vertex_node)
+                    .status()
+                    .code(),
+                ht::StatusCode::kInvalidArgument)
+          << "node weight " << bad << " at " << i;
+      EXPECT_EQ(Tree::from_arrays(parent, good, weights, vertex_node)
+                    .status()
+                    .code(),
+                ht::StatusCode::kInvalidArgument)
+          << "edge weight " << bad << " at " << i;
+    }
+  }
+  EXPECT_TRUE(Tree::from_arrays(parent, good, good, vertex_node).ok());
 }
 
 TEST(TreeFromArrays, LiftVerticesReembedsThroughAContractionMap) {

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cuttree/vertex_cut_tree.hpp"
@@ -236,6 +237,45 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
   EXPECT_EQ(h.bucket(11), 1u);  // [1024, 2047]
   EXPECT_EQ(ht::obs::Histogram::bucket_upper_bound(0), 0u);
   EXPECT_EQ(ht::obs::Histogram::bucket_upper_bound(11), 2047u);
+}
+
+TEST(Metrics, StripedMetricsSumExactlyAcrossThreads) {
+  // More threads than stripes, so some threads share a stripe; every
+  // thread gets its own dense index, and the totals stay exact.
+  auto& reg = ht::obs::MetricsRegistry::global();
+  auto& c = reg.counter("test.striped_counter");
+  auto& h = reg.histogram("test.striped_hist");
+  c.reset();
+  h.reset();
+  constexpr int kThreads = static_cast<int>(ht::obs::kStripes) + 4;
+  constexpr std::uint64_t kPerThread = 1000;
+  std::vector<std::uint32_t> index(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      index[static_cast<std::size_t>(i)] = ht::obs::thread_index();
+      for (std::uint64_t k = 0; k < kPerThread; ++k) {
+        c.add(2);
+        h.record(static_cast<std::uint64_t>(i));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::sort(index.begin(), index.end());
+  EXPECT_EQ(std::adjacent_find(index.begin(), index.end()), index.end());
+  EXPECT_EQ(c.value(), 2 * kThreads * kPerThread);
+  const ht::obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.count, kThreads * kPerThread);
+  EXPECT_EQ(h.count(), s.count);
+  EXPECT_EQ(s.sum, kPerThread * kThreads * (kThreads - 1) / 2);
+  EXPECT_EQ(s.max, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(s.buckets[0], kPerThread);  // thread 0 recorded zeros
+  c.reset();
+  h.reset();
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.max(), 0u);
 }
 
 TEST(Metrics, AtomicFetchMaxUnderContention) {

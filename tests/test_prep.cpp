@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "flow/hypergraph_gomory_hu.hpp"
+#include "flow/cut_engine.hpp"
 #include "ht/hypertree.hpp"
 #include "hypergraph/generators.hpp"
 #include "hypergraph/hypergraph.hpp"
@@ -290,9 +290,13 @@ class PrepServeTest : public ::testing::Test {
                                        ht::snapshot::BuildReport* report) {
     ht::snapshot::BuildOptions options;
     options.prep.mode = mode;
-    const std::string path =
-        "test_prep_serve_" +
-        std::string(ht::prep::mode_name(mode)) + ".htsnap";
+    // Per-test file names: ctest runs every case as its own process, in
+    // parallel under -j.
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
+    const std::string path = testing::TempDir() + "test_prep_serve_" +
+                             test->name() + "_" +
+                             std::string(ht::prep::mode_name(mode)) +
+                             ".htsnap";
     EXPECT_TRUE(ht::snapshot::write(h, path, options, report).ok());
     auto server = ht::TreeServer::open(path);
     std::remove(path.c_str());

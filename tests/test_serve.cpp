@@ -1,5 +1,5 @@
 // TreeServer: query correctness against in-memory artifacts, per-query
-// deadlines, and the shared_ptr epoch hot-swap — no dropped queries, no
+// deadlines, and the two-slot epoch hot-swap — no dropped queries, no
 // leaked mappings (CI additionally runs this file under TSan).
 
 #include <gtest/gtest.h>
@@ -7,10 +7,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "flow/cut_engine.hpp"
@@ -353,6 +355,43 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
   const std::string path1 = write_snapshot(h1, "serve_storm1.htsnap");
   const std::string path2 = write_snapshot(h2, "serve_storm2.htsnap");
 
+  // Every epoch has n=16, so the same queries are valid across swaps, and
+  // each answer must be what one of the two snapshots serves — a query
+  // reading a replaced or half-published epoch would show up here.
+  using Sets = std::pair<std::vector<std::int32_t>, std::vector<std::int32_t>>;
+  double min_cuts[2][16][16] = {};
+  std::vector<Sets> set_queries;
+  std::vector<double> set_cuts[2];
+  {
+    auto epoch1 = ht::TreeServer::open(path1);
+    auto epoch2 = ht::TreeServer::open(path2);
+    ASSERT_TRUE(epoch1.ok());
+    ASSERT_TRUE(epoch2.ok());
+    ht::TreeServer* servers[2] = {&*epoch1, &*epoch2};
+    for (int e = 0; e < 2; ++e) {
+      for (std::int32_t s = 0; s < 16; ++s) {
+        for (std::int32_t t = 0; t < 16; ++t) {
+          if (s != t) min_cuts[e][s][t] = servers[e]->min_cut(s, t)->value;
+        }
+      }
+    }
+    ht::Rng rng(7);
+    while (set_queries.size() < 8) {
+      const auto pick = rng.sample_without_replacement(16, 4);
+      Sets sets{{pick[0], pick[1]}, {pick[2], pick[3]}};
+      const auto a1 = servers[0]->set_cut(sets.first, sets.second);
+      const auto a2 = servers[1]->set_cut(sets.first, sets.second);
+      if (!a1.ok() || !a2.ok()) continue;  // sides share a tree node
+      set_queries.push_back(std::move(sets));
+      set_cuts[0].push_back(a1->value);
+      set_cuts[1].push_back(a2->value);
+    }
+  }
+  const auto served_by_an_epoch = [](double value, double e1, double e2) {
+    return std::memcmp(&value, &e1, sizeof value) == 0 ||
+           std::memcmp(&value, &e2, sizeof value) == 0;
+  };
+
   const std::int64_t mapped_before = ht::mapped_bytes_now();
   {
     auto server = ht::TreeServer::open(path1);
@@ -364,6 +403,7 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
     std::atomic<bool> stop_observer{false};
     std::atomic<std::int64_t> answered{0};
     std::atomic<std::int64_t> failed{0};
+    std::atomic<std::int64_t> wrong{0};
     std::atomic<std::int64_t> exports{0};
     std::vector<std::thread> workers;
     workers.reserve(kQueryThreads);
@@ -373,18 +413,27 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
         }
         ht::Rng rng(static_cast<std::uint64_t>(w) + 100);
         for (int q = 0; q < kQueriesPerThread; ++q) {
-          // Every epoch has n=16, so these ids are valid across swaps.
           const auto s = static_cast<std::int32_t>(rng() % 16);
           auto t = static_cast<std::int32_t>(rng() % 16);
           if (t == s) t = (t + 1) % 16;
-          const auto answer =
-              (q % 3 == 0) ? server->min_cut(s, t)
-                           : server->min_cut(t, s);
-          if (answer.ok()) {
-            answered.fetch_add(1, std::memory_order_relaxed);
+          bool right = false;
+          bool ok = false;
+          if (q % 4 == 3) {
+            const std::size_t i = rng() % set_queries.size();
+            const auto answer =
+                server->set_cut(set_queries[i].first, set_queries[i].second);
+            ok = answer.ok();
+            right = ok && served_by_an_epoch(answer->value, set_cuts[0][i],
+                                             set_cuts[1][i]);
           } else {
-            failed.fetch_add(1, std::memory_order_relaxed);
+            const auto answer = (q % 3 == 0) ? server->min_cut(s, t)
+                                             : server->min_cut(t, s);
+            ok = answer.ok();
+            right = ok && served_by_an_epoch(answer->value, min_cuts[0][s][t],
+                                             min_cuts[1][s][t]);
           }
+          (ok ? answered : failed).fetch_add(1, std::memory_order_relaxed);
+          if (ok && !right) wrong.fetch_add(1, std::memory_order_relaxed);
           if (q % 16 == 0) (void)server->bisection();
         }
       });
@@ -425,6 +474,11 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
     for (int swap = 0; swap < 50; ++swap) {
       ASSERT_TRUE(server->swap(swap % 2 == 0 ? path2 : path1).ok());
     }
+    // However the threads get scheduled, the observer completes at least
+    // one pass before the storm winds down.
+    while (exports.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
     for (auto& worker : workers) worker.join();
     stop_observer.store(true, std::memory_order_release);
     observer.join();
@@ -435,6 +489,7 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
     EXPECT_EQ(answered.load(),
               static_cast<std::int64_t>(kQueryThreads) * kQueriesPerThread);
     EXPECT_EQ(failed.load(), 0);
+    EXPECT_EQ(wrong.load(), 0);
     EXPECT_GT(exports.load(), 0);
     EXPECT_EQ(server->info().swaps, 50u);
     EXPECT_EQ(server->epoch(), 51u);  // open = 1, +1 per swap
@@ -444,6 +499,12 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
     const std::string trace = ht::obs::Tracer::global().chrome_trace_json();
     EXPECT_NE(trace.find("\"serve.min_cut\""), std::string::npos);
     ht::obs::Tracer::global().clear();
+
+    // The first query to finish after the replaced epoch's last reader
+    // unmaps it: from then on only the serving snapshot stays mapped.
+    ASSERT_TRUE(server->min_cut(0, 1).ok());
+    EXPECT_EQ(ht::mapped_bytes_now() - mapped_before,
+              static_cast<std::int64_t>(server->state()->snap.size_bytes()));
   }
   // Server destroyed: every epoch's mapping must be gone.
   EXPECT_EQ(ht::mapped_bytes_now(), mapped_before);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -496,6 +497,29 @@ TEST_F(SnapshotCorpus, SemanticTreeParentOrderViolation) {
   ASSERT_TRUE(snap.ok());
   auto loaded = ht::serve::LoadedSnapshot::load(std::move(*snap));
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST_F(SnapshotCorpus, SemanticNegativeOrNanTreeWeights) {
+  // A negative weight would let set_cut serve a negative "dominating"
+  // value; NaN poisons every DP comparison.
+  for (const SectionKind kind :
+       {SectionKind::kVctNodeWeight, SectionKind::kVctEdgeWeight,
+        SectionKind::kDecompNodeWeight, SectionKind::kDecompEdgeWeight}) {
+    for (const double bad : {-1.0, -0.0, std::nan("")}) {
+      std::string mutated = bytes_;
+      const auto* section = find_section(mutated, kind);
+      ASSERT_NE(section, nullptr);
+      const std::size_t last = section->byte_size / sizeof(double) - 1;
+      std::memcpy(mutated.data() + section->offset + last * sizeof(double),
+                  &bad, sizeof bad);
+      resign(mutated);
+      auto snap = ht::snapshot::open_bytes(std::move(mutated));
+      ASSERT_TRUE(snap.ok());
+      auto loaded = ht::serve::LoadedSnapshot::load(std::move(*snap));
+      EXPECT_FALSE(loaded.ok())
+          << "section " << static_cast<unsigned>(kind) << " weight " << bad;
+    }
+  }
 }
 
 TEST_F(SnapshotCorpus, SemanticMetaCountMismatch) {
