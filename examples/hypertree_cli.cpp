@@ -225,6 +225,9 @@ int run_build_snapshot(const Options& options) {
             << " gomory_hu=" << (report.gomory_hu_present ? 1 : 0)
             << " vct_nodes=" << report.vct_nodes
             << " decomp_nodes=" << report.decomp_nodes
+            << " gomory_hu_ms=" << report.gomory_hu_ms
+            << " vertex_cut_tree_ms=" << report.vertex_cut_tree_ms
+            << " decomposition_ms=" << report.decomposition_ms
             << " prep=" << ht::prep::mode_name(options.prep.mode)
             << " stored_n=" << report.stored_vertices
             << " stored_m=" << report.stored_edges

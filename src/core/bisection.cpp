@@ -12,7 +12,6 @@
 #include "partition/unbalanced_kcut.hpp"
 #include "reduction/clique_expansion.hpp"
 #include "reduction/star_expansion.hpp"
-#include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
 #include "util/wavefront.hpp"
 
@@ -46,7 +45,6 @@ Phase1Result phase1_peel(const Hypergraph& h, double threshold,
   ht::obs::TraceSpan span("theorem1.phase1_peel");
   span.arg("n", h.num_vertices());
   span.arg("threshold", threshold);
-  ht::PhaseTimer phase("theorem1.phase1_peel");
   std::vector<std::vector<VertexId>> roots(1);
   roots[0].resize(static_cast<std::size_t>(h.num_vertices()));
   for (VertexId v = 0; v < h.num_vertices(); ++v)
@@ -435,15 +433,11 @@ BisectionReport bisect_theorem1(const Hypergraph& h,
     guess_span.arg("phase1_pieces", p1.pieces.size());
     guess_span.arg("phase1_cut", p1.cut_weight);
     std::vector<PieceProfile> profiles(p1.pieces.size());
-    {
-      ht::PhaseTimer phase("theorem1.piece_profiles");
-      ht::parallel_for(p1.pieces.size(), [&](std::size_t pi) {
-        ht::Rng piece_rng = ht::derive_stream(profile_seed, pi);
-        profiles[pi] = build_piece_profile(h, std::move(p1.pieces[pi]),
-                                           k_cap, piece_rng);
-      });
-    }
-    ht::PhaseTimer phase("theorem1.phase2_dp");
+    ht::parallel_for(p1.pieces.size(), [&](std::size_t pi) {
+      ht::Rng piece_rng = ht::derive_stream(profile_seed, pi);
+      profiles[pi] = build_piece_profile(h, std::move(p1.pieces[pi]), k_cap,
+                                         piece_rng);
+    });
     double dp_estimate = 0.0;
     std::vector<bool> side = phase2_dp(h, profiles, &dp_estimate);
     guess_span.arg("feasible", side.empty() ? 0 : 1);

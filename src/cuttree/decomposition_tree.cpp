@@ -8,7 +8,6 @@
 #include "hypergraph/hypergraph.hpp"
 #include "obs/trace.hpp"
 #include "partition/sparsest_cut.hpp"
-#include "util/perf_counters.hpp"
 #include "util/wavefront.hpp"
 
 namespace ht::cuttree {
@@ -65,7 +64,6 @@ DecompositionTreeResult build_decomposition_tree_run(
   HT_CHECK(n >= 1);
   ht::obs::TraceSpan trace("decomposition_tree");
   trace.arg("n", n);
-  ht::PhaseTimer phase("decomposition_tree.build");
 
   // Stage 1 — parallel: grow the laminar cluster family over the pool.
   // Splits (spectral sweep + cut evaluations) run concurrently per

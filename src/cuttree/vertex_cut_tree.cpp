@@ -6,7 +6,6 @@
 #include "graph/subset_view.hpp"
 #include "obs/trace.hpp"
 #include "partition/min_ratio_cut.hpp"
-#include "util/perf_counters.hpp"
 #include "util/wavefront.hpp"
 
 namespace ht::cuttree {
@@ -48,7 +47,6 @@ VertexCutTreeResult build_vertex_cut_tree(const Graph& g,
   ht::obs::TraceSpan trace("vertex_cut_tree");
   trace.arg("n", n);
   trace.arg("threshold", threshold);
-  ht::PhaseTimer phase("vertex_cut_tree.peel");
 
   // Independent-piece peeling over the pool. Each piece's oracle draws
   // from a stream derived from the piece index, so any thread count

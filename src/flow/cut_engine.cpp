@@ -513,7 +513,6 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   // nested flow.min_edge_cut spans carry the per-flow detail.
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
-  ht::PhaseTimer phase("gomory_hu.graph");
   RunState* run = current_run_state();
   GomoryHuRunResult out;
   GomoryHuTree& tree = out.tree;
@@ -648,7 +647,6 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   ht::obs::TraceSpan trace("gomory_hu.hypergraph");
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
-  ht::PhaseTimer phase("gomory_hu.hypergraph");
   RunState* run = current_run_state();
   HypergraphGomoryHuRunResult out;
   HypergraphGomoryHuTree& tree = out.tree;

@@ -13,6 +13,8 @@
 #include "reduction/clique_expansion.hpp"
 #include "reduction/star_expansion.hpp"
 #include "util/run_context.hpp"
+#include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace ht::snapshot {
 
@@ -33,8 +35,10 @@ struct TreeArrays {
   std::vector<double> node_weight;
   std::vector<double> edge_weight;
   std::vector<std::int32_t> vertex_node;
+  std::int32_t root = 0;
 
-  explicit TreeArrays(const cuttree::Tree& t) {
+  TreeArrays() = default;
+  explicit TreeArrays(const cuttree::Tree& t) : root(t.root()) {
     const auto n = static_cast<std::size_t>(t.num_nodes());
     parent.reserve(n);
     node_weight.reserve(n);
@@ -50,7 +54,113 @@ struct TreeArrays {
       vertex_node.push_back(t.node_of_vertex(v));
     }
   }
+
+  std::int32_t num_nodes() const {
+    return static_cast<std::int32_t>(parent.size());
+  }
 };
+
+/// What one artifact task hands back: its arrays, the MetaBlock and
+/// BuildReport fields it owns, and its statuses. A task writes only its
+/// own result, so the fork has no shared writes; build() merges the
+/// three serially after the join.
+struct ArtifactRun {
+  bool present = false;
+  /// The builder's status (Ok, or the stop that ended it early).
+  Status status;
+  /// The stop latched in the artifact's own RunState (kOk when no run is
+  /// bound or it never stopped).
+  StatusCode stop = StatusCode::kOk;
+  /// The task's wall time, its expansion included.
+  double ms = 0.0;
+};
+
+struct GomoryHuArtifact : ArtifactRun {
+  flow::HypergraphGomoryHuTree tree;
+  VertexId applied = 0;
+};
+
+struct VertexCutTreeArtifact : ArtifactRun {
+  TreeArrays tree;
+  std::vector<std::int32_t> separators;
+  std::int32_t num_pieces = 0;
+  double separator_weight = 0.0;
+  double threshold = 0.0;
+};
+
+struct DecompositionArtifact : ArtifactRun {
+  TreeArrays tree;
+};
+
+/// Gomory–Hu tree: exact min s-t cut answers. Needs connectivity.
+GomoryHuArtifact build_gomory_hu(const Hypergraph& stored) {
+  GomoryHuArtifact out;
+  if (!hypergraph::is_connected(stored)) return out;
+  auto result = CutEngine().gomory_hu(stored);
+  out.present = true;
+  out.status = result.status;
+  out.tree = std::move(result.tree);
+  out.applied = result.applied;
+  return out;
+}
+
+/// Section 3.1 vertex cut tree of the star expansion (Corollary 3's
+/// serving artifact: bisection + set-cut queries become tree DPs).
+VertexCutTreeArtifact build_vertex_cut_tree(const Hypergraph& stored,
+                                            const BuildOptions& options) {
+  const auto star = reduction::star_expansion(stored);
+  cuttree::VertexCutTreeOptions vct_options;
+  vct_options.seed = options.seed;
+  vct_options.alpha = options.alpha;
+  auto result = cuttree::build_vertex_cut_tree(star.graph, vct_options);
+  VertexCutTreeArtifact out;
+  out.present = true;
+  out.status = result.status;
+  out.tree = TreeArrays(result.tree);
+  out.separators = std::move(result.separator_vertices);
+  out.num_pieces = result.num_pieces;
+  out.separator_weight = result.separator_weight;
+  out.threshold = result.threshold;
+  return out;
+}
+
+/// Decomposition tree of the clique expansion (k-way queries via the
+/// edge-cut tree DP, Lemma 1 distortion).
+DecompositionArtifact build_decomposition(const Hypergraph& stored,
+                                          std::uint64_t seed) {
+  graph::Graph expansion = reduction::clique_expansion(stored);
+  if (!expansion.finalized()) expansion.finalize();
+  cuttree::DecompositionOptions decomp_options;
+  decomp_options.seed = seed;
+  const auto result =
+      cuttree::build_decomposition_tree_run(expansion, decomp_options);
+  DecompositionArtifact out;
+  out.present = true;
+  out.status = result.status;
+  out.tree = TreeArrays(result.tree);
+  return out;
+}
+
+/// Runs one artifact task and times it. Under a bound run the task gets
+/// its own RunState for the caller's RunContext: the same deadline and
+/// cancel token, but its own piece counter, so a piece-budget stop lands
+/// on the same logical piece however the other artifacts are scheduled.
+/// A stop the caller already latched (say, by prep) carries over, so a
+/// stopped run stays stopped for every artifact.
+template <typename Build>
+auto run_artifact(const RunState* caller, Build&& build)
+    -> decltype(build()) {
+  const Timer timer;
+  std::optional<RunScope> scope;
+  if (caller != nullptr) {
+    scope.emplace(caller->context());
+    scope->state().latch(caller->status().code());
+  }
+  auto out = build();
+  if (scope.has_value()) out.stop = scope->status().code();
+  out.ms = timer.millis();
+  return out;
+}
 
 }  // namespace
 
@@ -102,12 +212,10 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   // meta.build_threads stays 0: like created_unix_s, the live thread count
   // is provenance that would break byte-determinism across thread counts,
   // so it is reported in BuildReport instead of the checksummed artifact.
+  RunState* caller = current_run_state();
   rep.build_threads = static_cast<std::uint32_t>(env_default_threads());
-  if (const RunState* run = current_run_state(); run != nullptr) {
-    rep.build_threads =
-        run->context().threads != 0
-            ? static_cast<std::uint32_t>(run->context().threads)
-            : rep.build_threads;
+  if (caller != nullptr && caller->context().threads != 0) {
+    rep.build_threads = static_cast<std::uint32_t>(caller->context().threads);
   }
 
   // Hypergraph CSR — rebuilt from the public accessors, written as the
@@ -131,62 +239,60 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   Writer writer;
   writer.set_timestamp(options.timestamp_unix_s);
 
-  // Gomory–Hu tree: exact min s-t cut answers. Needs connectivity.
-  std::vector<std::int32_t> gh_parent;
-  std::vector<double> gh_parent_cut;
-  if (options.include_gomory_hu && hypergraph::is_connected(stored)) {
-    const auto gh = CutEngine().gomory_hu(stored);
+  // The three artifacts are independent functions of `stored`: build them
+  // as one fork-join on the global pool. The caller helps by stealing,
+  // each builder's nested parallel work shares the same pool, and a
+  // 1-worker pool runs them serially in GH -> VCT -> decomposition order.
+  GomoryHuArtifact gh;
+  VertexCutTreeArtifact vct;
+  DecompositionArtifact decomp;
+  parallel_for(3, [&](std::size_t artifact) {
+    if (artifact == 0 && options.include_gomory_hu) {
+      gh = run_artifact(caller, [&] { return build_gomory_hu(stored); });
+    } else if (artifact == 1 && options.include_vertex_cut_tree) {
+      vct = run_artifact(caller,
+                         [&] { return build_vertex_cut_tree(stored, options); });
+    } else if (artifact == 2 && options.include_decomposition) {
+      decomp = run_artifact(
+          caller, [&] { return build_decomposition(stored, options.seed); });
+    }
+  });
+
+  // Merge serially, in a fixed order, so the MetaBlock, the report and
+  // the run's first latched stop are the same for every schedule.
+  rep.gomory_hu_ms = gh.ms;
+  rep.vertex_cut_tree_ms = vct.ms;
+  rep.decomposition_ms = decomp.ms;
+  if (gh.present) {
     rep.gomory_hu_status = gh.status;
     rep.gomory_hu_present = true;
-    gh_parent.assign(gh.tree.parent.begin(), gh.tree.parent.end());
-    gh_parent_cut = gh.tree.parent_cut;
     meta.gh_root = gh.tree.root;
     meta.gh_applied = gh.applied;
     if (gh.status.ok()) meta.artifact_flags |= kGomoryHuComplete;
   }
-
-  // Section 3.1 vertex cut tree of the star expansion (Corollary 3's
-  // serving artifact: bisection + set-cut queries become tree DPs).
-  std::optional<TreeArrays> vct;
-  std::vector<std::int32_t> vct_separators;
-  if (options.include_vertex_cut_tree) {
-    const auto star = reduction::star_expansion(stored);
-    cuttree::VertexCutTreeOptions vct_options;
-    vct_options.seed = options.seed;
-    vct_options.alpha = options.alpha;
-    const auto result =
-        cuttree::build_vertex_cut_tree(star.graph, vct_options);
-    rep.vertex_cut_tree_status = result.status;
+  if (vct.present) {
+    rep.vertex_cut_tree_status = vct.status;
     rep.vertex_cut_tree_present = true;
-    rep.vct_nodes = result.tree.num_nodes();
-    vct.emplace(result.tree);
-    vct_separators.assign(result.separator_vertices.begin(),
-                          result.separator_vertices.end());
-    meta.vct_num_nodes = result.tree.num_nodes();
-    meta.vct_num_pieces = result.num_pieces;
-    meta.vct_separator_weight = result.separator_weight;
-    meta.vct_threshold = result.threshold;
-    meta.vct_root = result.tree.root();
-    if (result.status.ok()) meta.artifact_flags |= kVertexCutTreeComplete;
+    rep.vct_nodes = vct.tree.num_nodes();
+    meta.vct_num_nodes = vct.tree.num_nodes();
+    meta.vct_num_pieces = vct.num_pieces;
+    meta.vct_separator_weight = vct.separator_weight;
+    meta.vct_threshold = vct.threshold;
+    meta.vct_root = vct.tree.root;
+    if (vct.status.ok()) meta.artifact_flags |= kVertexCutTreeComplete;
   }
-
-  // Decomposition tree of the clique expansion (k-way queries via the
-  // edge-cut tree DP, Lemma 1 distortion).
-  std::optional<TreeArrays> decomp;
-  if (options.include_decomposition) {
-    graph::Graph expansion = reduction::clique_expansion(stored);
-    if (!expansion.finalized()) expansion.finalize();
-    cuttree::DecompositionOptions decomp_options;
-    decomp_options.seed = options.seed;
-    auto result =
-        cuttree::build_decomposition_tree_run(expansion, decomp_options);
-    rep.decomposition_status = result.status;
+  if (decomp.present) {
+    rep.decomposition_status = decomp.status;
     rep.decomposition_present = true;
-    rep.decomp_nodes = result.tree.num_nodes();
-    decomp.emplace(result.tree);
-    meta.decomp_num_nodes = result.tree.num_nodes();
-    meta.decomp_root = result.tree.root();
-    if (result.status.ok()) meta.artifact_flags |= kDecompositionComplete;
+    rep.decomp_nodes = decomp.tree.num_nodes();
+    meta.decomp_num_nodes = decomp.tree.num_nodes();
+    meta.decomp_root = decomp.tree.root;
+    if (decomp.status.ok()) meta.artifact_flags |= kDecompositionComplete;
+  }
+  if (caller != nullptr) {
+    for (const StatusCode stop : {gh.stop, vct.stop, decomp.stop}) {
+      caller->latch(stop);
+    }
   }
 
   writer.add_meta(meta);
@@ -194,25 +300,28 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   writer.add_span(SectionKind::kEdgeWeights, to_span(edge_weights));
   writer.add_span(SectionKind::kPinOffsets, to_span(pin_offsets));
   writer.add_span(SectionKind::kPins, to_span(pins));
-  if (rep.gomory_hu_present) {
-    writer.add_span(SectionKind::kGhParent, to_span(gh_parent));
-    writer.add_span(SectionKind::kGhParentCut, to_span(gh_parent_cut));
+  if (gh.present) {
+    writer.add_span(SectionKind::kGhParent, to_span(gh.tree.parent));
+    writer.add_span(SectionKind::kGhParentCut, to_span(gh.tree.parent_cut));
   }
-  if (vct.has_value()) {
-    writer.add_span(SectionKind::kVctParent, to_span(vct->parent));
-    writer.add_span(SectionKind::kVctNodeWeight, to_span(vct->node_weight));
-    writer.add_span(SectionKind::kVctEdgeWeight, to_span(vct->edge_weight));
-    writer.add_span(SectionKind::kVctVertexNode, to_span(vct->vertex_node));
-    writer.add_span(SectionKind::kVctSeparators, to_span(vct_separators));
+  if (vct.present) {
+    writer.add_span(SectionKind::kVctParent, to_span(vct.tree.parent));
+    writer.add_span(SectionKind::kVctNodeWeight,
+                    to_span(vct.tree.node_weight));
+    writer.add_span(SectionKind::kVctEdgeWeight,
+                    to_span(vct.tree.edge_weight));
+    writer.add_span(SectionKind::kVctVertexNode,
+                    to_span(vct.tree.vertex_node));
+    writer.add_span(SectionKind::kVctSeparators, to_span(vct.separators));
   }
-  if (decomp.has_value()) {
-    writer.add_span(SectionKind::kDecompParent, to_span(decomp->parent));
+  if (decomp.present) {
+    writer.add_span(SectionKind::kDecompParent, to_span(decomp.tree.parent));
     writer.add_span(SectionKind::kDecompNodeWeight,
-                    to_span(decomp->node_weight));
+                    to_span(decomp.tree.node_weight));
     writer.add_span(SectionKind::kDecompEdgeWeight,
-                    to_span(decomp->edge_weight));
+                    to_span(decomp.tree.edge_weight));
     writer.add_span(SectionKind::kDecompVertexNode,
-                    to_span(decomp->vertex_node));
+                    to_span(decomp.tree.vertex_node));
   }
   std::vector<std::int32_t> prep_map;
   std::string prep_stages_text;

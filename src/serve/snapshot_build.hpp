@@ -13,10 +13,27 @@
 //  * the decomposition tree of the clique expansion — balanced k-way
 //    partition queries as edge-cut tree DPs (Lemma 1 distortion).
 //
+// The three trees are independent functions of the stored instance, so
+// build() runs them concurrently: one fork-join on the global thread pool
+// (no thread of its own), whose results are merged into the MetaBlock and
+// BuildReport serially, in GH -> VCT -> decomposition order. With a
+// 1-worker pool they run one after another in that order. The snapshot
+// bytes are the same for every thread count.
+//
 // build() honours the ambient RunContext with the library's usual anytime
-// semantics: a deadline mid-build yields partial-but-valid dominating
-// trees whose completeness bits are cleared in the MetaBlock, so a server
-// can distinguish exact answers from degraded ones.
+// semantics: a stop mid-build yields partial-but-valid dominating trees
+// whose completeness bits are cleared in the MetaBlock, so a server can
+// distinguish exact answers from degraded ones. Each tree runs under its
+// own RunState for the caller's context:
+//  * the deadline and cancel token are shared by the three concurrent
+//    builders, so a short deadline leaves all three trees partial;
+//  * piece_budget counts pieces per tree: each gets the full budget, and
+//    a budget stop lands on the same logical piece for every thread count;
+//  * a stop the run latched before the trees start (say, prep exhausting
+//    the budget) stops all three, which still publish trivial trees.
+// After the join each tree's stop is latched into the caller's RunState
+// in GH -> VCT -> decomposition order, so the run's status is
+// deterministic too.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +77,12 @@ struct BuildReport {
   /// applied).
   Status prep_status;
   std::size_t bytes = 0;
+  /// Wall time of each tree's build task, its expansion included; 0 when
+  /// the artifact is off. The tasks overlap, so the three can add up to
+  /// more than the build's wall. Not stored in the snapshot.
+  double gomory_hu_ms = 0.0;
+  double vertex_cut_tree_ms = 0.0;
+  double decomposition_ms = 0.0;
   /// Threads the offline build ran with (flag > HT_THREADS > hardware).
   /// Deliberately NOT stored in the snapshot so bytes stay identical
   /// across thread counts.

@@ -1,6 +1,5 @@
 #include "util/perf_counters.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace ht {
@@ -35,34 +34,7 @@ double PerfCounters::arena_hit_rate() const {
                     : static_cast<double>(hits) / static_cast<double>(total);
 }
 
-void PerfCounters::add_phase_time(const std::string& phase, double seconds) {
-  std::scoped_lock lock(phase_mutex_);
-  for (auto& [name, total] : phases_) {
-    if (name == phase) {
-      total += seconds;
-      return;
-    }
-  }
-  phases_.emplace_back(phase, seconds);
-}
-
-std::vector<std::pair<std::string, double>> PerfCounters::phase_times()
-    const {
-  std::vector<std::pair<std::string, double>> out;
-  {
-    std::scoped_lock lock(phase_mutex_);
-    out = phases_;
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& l, const auto& r) { return l.first < r.first; });
-  return out;
-}
-
-void PerfCounters::reset() {
-  registry().reset_all();
-  std::scoped_lock lock(phase_mutex_);
-  phases_.clear();
-}
+void PerfCounters::reset() { registry().reset_all(); }
 
 std::string PerfCounters::report() const {
   std::ostringstream os;
@@ -75,9 +47,6 @@ std::string PerfCounters::report() const {
      << arena_hit_rate() << "\n";
   os << "perf: materializations=" << materializations()
      << " peak_arena_bytes=" << peak_arena_bytes() << "\n";
-  for (const auto& [name, seconds] : phase_times()) {
-    os << "perf: phase " << name << " = " << seconds << " s (aggregate)\n";
-  }
   return os.str();
 }
 

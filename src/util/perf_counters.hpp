@@ -15,12 +15,9 @@
 // ones registered outside this facade, e.g. "flow.augmenting_paths").
 #pragma once
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -61,11 +58,6 @@ class PerfCounters {
     peak_arena_bytes_.update_max(static_cast<std::int64_t>(bytes));
   }
 
-  /// Accumulates wall time under a phase name (see PhaseTimer). Parallel
-  /// sections add per-thread elapsed time, so a phase can exceed the
-  /// process wall clock — read it as aggregate time spent in the phase.
-  void add_phase_time(const std::string& phase, double seconds);
-
   std::uint64_t pieces() const { return pieces_.value(); }
   std::uint64_t max_flow_calls() const { return max_flow_calls_.value(); }
   std::uint64_t tasks() const { return tasks_.value(); }
@@ -84,11 +76,8 @@ class PerfCounters {
   std::uint64_t peak_arena_bytes() const {
     return static_cast<std::uint64_t>(peak_arena_bytes_.value());
   }
-  /// Phase totals sorted by phase name, so report output and bench JSON
-  /// are stable regardless of which thread registered a phase first.
-  std::vector<std::pair<std::string, double>> phase_times() const;
 
-  /// Zeroes every metric in the registry and drops recorded phases.
+  /// Zeroes every metric in the registry.
   void reset();
 
   /// Multi-line human-readable summary (benches print this after a run).
@@ -107,30 +96,6 @@ class PerfCounters {
   obs::Counter& flow_reuses_;
   obs::Counter& materializations_;
   obs::Gauge& peak_arena_bytes_;
-  mutable std::mutex phase_mutex_;
-  std::vector<std::pair<std::string, double>> phases_;
-};
-
-/// RAII phase timer: adds the scope's wall time to
-/// PerfCounters::global() under `phase`.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(std::string phase)
-      : phase_(std::move(phase)),
-        start_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    PerfCounters::global().add_phase_time(phase_, seconds);
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  std::string phase_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace ht

@@ -86,7 +86,9 @@ struct RunContext {
   /// Logical piece budget: the run stops (kResourceExhausted) after this
   /// many pieces have been folded/applied at serial boundaries. 0 =
   /// unlimited. Deterministic: the same budget stops at the same logical
-  /// piece for every thread count.
+  /// piece for every thread count. A snapshot build (snapshot::build)
+  /// builds its three trees concurrently, each under its own RunState for
+  /// this context, so there the budget counts pieces per tree.
   std::uint64_t piece_budget = 0;
   /// Soft cap on bytes parked in a thread's WorkArena object cache; the
   /// cache is evicted before it would exceed this. 0 = unlimited.

@@ -537,26 +537,6 @@ TEST(Metrics, PerfCountersAreRegistryBacked) {
   EXPECT_EQ(pc.max_queue_depth(), 0u);
 }
 
-TEST(Metrics, PhaseTimesSortedByName) {
-  auto& pc = ht::PerfCounters::global();
-  pc.reset();
-  pc.add_phase_time("zeta.phase", 1.0);
-  pc.add_phase_time("alpha.phase", 2.0);
-  pc.add_phase_time("mid.phase", 3.0);
-  pc.add_phase_time("alpha.phase", 0.5);  // accumulates
-  const auto phases = pc.phase_times();
-  ASSERT_EQ(phases.size(), 3u);
-  EXPECT_EQ(phases[0].first, "alpha.phase");
-  EXPECT_DOUBLE_EQ(phases[0].second, 2.5);
-  EXPECT_EQ(phases[1].first, "mid.phase");
-  EXPECT_EQ(phases[2].first, "zeta.phase");
-  // report() renders phases in the same sorted order.
-  const std::string report = pc.report();
-  EXPECT_LT(report.find("alpha.phase"), report.find("mid.phase"));
-  EXPECT_LT(report.find("mid.phase"), report.find("zeta.phase"));
-  pc.reset();
-}
-
 // ----------------------------------------------------------------- tracer
 
 TEST(Trace, DisabledSpansRecordNothing) {

@@ -266,6 +266,160 @@ TEST(SnapshotRoundTrip, BuildInfoSurvives) {
 }
 
 // ---------------------------------------------------------------------------
+// Anytime builds. The three trees build concurrently, each under its own
+// RunState for the caller's RunContext: a piece budget counts pieces per
+// tree, so one tree's progress never stops another, and every stop lands
+// on the same logical piece for every pool size.
+
+struct BudgetedBuild {
+  std::string bytes;
+  /// Gomory–Hu, vertex cut tree, decomposition, then the run's status.
+  std::vector<ht::StatusCode> statuses;
+  std::uint32_t artifact_flags = 0;
+};
+
+BudgetedBuild budgeted_build(const ht::hypergraph::Hypergraph& h,
+                             std::uint64_t budget) {
+  ht::RunContext ctx;
+  ctx.with_piece_budget(budget);
+  ht::RunScope scope(ctx);
+  ht::snapshot::BuildOptions options;
+  options.seed = 7;
+  ht::snapshot::BuildReport report;
+  auto bytes = ht::snapshot::build(h, options, &report);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().to_string();
+  if (!bytes.ok()) return {};
+  auto snap = ht::snapshot::open_bytes(*bytes);
+  EXPECT_TRUE(snap.ok()) << snap.status().to_string();
+  return {*bytes,
+          {report.gomory_hu_status.code(),
+           report.vertex_cut_tree_status.code(),
+           report.decomposition_status.code(), scope.status().code()},
+          snap.ok() ? snap->meta().artifact_flags : 0u};
+}
+
+/// A ring of `clusters` blocks of `size` vertices: each block has one
+/// hyperedge over all its members plus a chain of 3-pin edges, and
+/// consecutive blocks are bridged by two 2-pin edges. Each of the three
+/// trees splits it into several pieces.
+ht::hypergraph::Hypergraph ring_of_clusters(int clusters, int size) {
+  ht::hypergraph::Hypergraph h(clusters * size);
+  for (int c = 0; c < clusters; ++c) {
+    const int base = c * size;
+    std::vector<ht::hypergraph::VertexId> block;
+    for (int i = 0; i < size; ++i) block.push_back(base + i);
+    h.add_edge(block);
+    for (int i = 0; i + 2 < size; ++i) {
+      h.add_edge({base + i, base + i + 1, base + i + 2});
+    }
+    const int next = (c + 1) % clusters * size;
+    h.add_edge({base, next});
+    h.add_edge({base + 1, next + 1});
+  }
+  h.finalize();
+  return h;
+}
+
+TEST(SnapshotAnytime, PieceBudgetedBuildIsIdenticalAcrossPoolSizes) {
+  const auto h = ring_of_clusters(12, 6);
+  ASSERT_TRUE(ht::hypergraph::is_connected(h));
+  const auto n = static_cast<std::uint64_t>(h.num_vertices());
+  constexpr std::uint32_t kAllComplete = ht::snapshot::kGomoryHuComplete |
+                                         ht::snapshot::kVertexCutTreeComplete |
+                                         ht::snapshot::kDecompositionComplete;
+  for (const std::uint64_t budget : {std::uint64_t{1}, std::uint64_t{4},
+                                     std::uint64_t{32}, n - 1,
+                                     std::uint64_t{0}}) {
+    ht::ThreadPool::reset_global(1);
+    const BudgetedBuild serial = budgeted_build(h, budget);
+    ht::ThreadPool::reset_global(4);
+    const BudgetedBuild parallel = budgeted_build(h, budget);
+    ASSERT_EQ(serial.bytes.size(), parallel.bytes.size()) << budget;
+    EXPECT_EQ(0, std::memcmp(serial.bytes.data(), parallel.bytes.data(),
+                             serial.bytes.size()))
+        << "budget " << budget;
+    EXPECT_EQ(serial.statuses, parallel.statuses) << "budget " << budget;
+    EXPECT_EQ(serial.artifact_flags, parallel.artifact_flags) << budget;
+    if (budget == 1) {
+      // One piece each: every tree stops, not just the first to count.
+      EXPECT_EQ(serial.statuses,
+                std::vector<ht::StatusCode>(
+                    4, ht::StatusCode::kResourceExhausted));
+      EXPECT_EQ(serial.artifact_flags, 0u);
+    } else if (budget == n - 1) {
+      // The GH tree's n - 1 applies spend exactly the budget, and on this
+      // ring the other two trees need fewer pieces of their own: all
+      // three complete, while the run reports the exhausted budget.
+      EXPECT_EQ(serial.statuses,
+                (std::vector<ht::StatusCode>{
+                    ht::StatusCode::kOk, ht::StatusCode::kOk,
+                    ht::StatusCode::kOk, ht::StatusCode::kResourceExhausted}));
+      EXPECT_EQ(serial.artifact_flags, kAllComplete);
+    } else if (budget == 0) {
+      EXPECT_EQ(serial.statuses,
+                std::vector<ht::StatusCode>(4, ht::StatusCode::kOk));
+      EXPECT_EQ(serial.artifact_flags, kAllComplete);
+    }
+  }
+  ht::ThreadPool::reset_global();
+}
+
+// A run that is stopped before the trees start still publishes a snapshot
+// the server opens: all three trees are trivial, flagged incomplete, and
+// carry the stop, as does the run.
+TEST(SnapshotAnytime, StoppedRunsPublishServableSnapshots) {
+  const auto h = test_instance();
+  ht::CancelSource cancel;
+  cancel.request_cancel();
+  struct Case {
+    const char* name;
+    ht::RunContext ctx;
+    ht::prep::PrepConfig::Mode prep;
+    ht::StatusCode expect;
+  };
+  std::vector<Case> cases(3);
+  cases[0] = {"expired_deadline", {}, ht::prep::PrepConfig::Mode::kOff,
+              ht::StatusCode::kDeadlineExceeded};
+  cases[0].ctx.deadline = ht::RunContext::Clock::now();
+  cases[1] = {"cancelled", {}, ht::prep::PrepConfig::Mode::kOff,
+              ht::StatusCode::kCancelled};
+  cases[1].ctx.with_cancel(cancel.token());
+  cases[2] = {"prep_budget", {}, ht::prep::PrepConfig::Mode::kExactOnly,
+              ht::StatusCode::kResourceExhausted};
+  cases[2].ctx.with_piece_budget(1);  // prep's first stage spends it
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        testing::TempDir() + "snapshot_anytime_" + c.name + ".htsnap";
+    ht::snapshot::BuildOptions options;
+    options.seed = 7;
+    options.prep.mode = c.prep;
+    ht::snapshot::BuildReport report;
+    ht::Status run_status;
+    {
+      ht::RunScope scope(c.ctx);
+      ASSERT_TRUE(ht::snapshot::write(h, path, options, &report).ok());
+      run_status = scope.status();
+    }
+    EXPECT_EQ(run_status.code(), c.expect);
+    EXPECT_EQ(report.gomory_hu_status.code(), c.expect);
+    EXPECT_EQ(report.vertex_cut_tree_status.code(), c.expect);
+    EXPECT_EQ(report.decomposition_status.code(), c.expect);
+    ASSERT_TRUE(report.gomory_hu_present);
+    ASSERT_TRUE(report.vertex_cut_tree_present);
+    ASSERT_TRUE(report.decomposition_present);
+
+    auto snap = ht::snapshot::open(path);
+    ASSERT_TRUE(snap.ok()) << snap.status().to_string();
+    EXPECT_EQ(snap->meta().artifact_flags, 0u);
+    auto server = ht::TreeServer::open(path);
+    ASSERT_TRUE(server.ok()) << server.status().to_string();
+    EXPECT_FALSE(server->info().gomory_hu_exact);
+    std::remove(path.c_str());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Golden fixture: a v1 snapshot checked into the repo. Guards format
 // compatibility — if parsing v1 images breaks, this fails before any
 // cross-version CI job does. Answers are asserted as values, not bytes,
@@ -570,6 +724,17 @@ TEST(SnapshotWriter, RejectsIndivisiblePayload) {
   const char raw[5] = {0, 1, 2, 3, 4};
   writer.add_bytes(SectionKind::kPins, 4, raw, 5);
   EXPECT_FALSE(writer.serialize().ok());
+}
+
+TEST(SnapshotBuild, ReportsPerArtifactWalls) {
+  const auto h = test_instance();
+  ht::snapshot::BuildOptions options;
+  options.include_vertex_cut_tree = false;
+  ht::snapshot::BuildReport report;
+  ASSERT_TRUE(ht::snapshot::build(h, options, &report).ok());
+  EXPECT_GT(report.gomory_hu_ms, 0.0);
+  EXPECT_EQ(report.vertex_cut_tree_ms, 0.0);  // the artifact is off
+  EXPECT_GT(report.decomposition_ms, 0.0);
 }
 
 TEST(SnapshotBuild, RejectsUnusableInputs) {
