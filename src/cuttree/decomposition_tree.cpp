@@ -43,16 +43,32 @@ struct SplitOutcome {
   std::vector<Part> parts;        // otherwise: the sparsest-cut split
 };
 
+// The cuts below cost O(volume of the piece * log) instead of an O(m) scan
+// of the whole graph. They rely on Graph having no self-loops and on
+// neighbors(v) listing v's edges in increasing edge id, so each sums the
+// same terms in the same order as g.cut_weight: bit for bit equal.
+
+/// delta_G({v}): the sum of v's adjacency weights.
 double singleton_cut(const Graph& g, VertexId v) {
-  std::vector<bool> single(static_cast<std::size_t>(g.num_vertices()), false);
-  single[static_cast<std::size_t>(v)] = true;
-  return g.cut_weight(single);
+  double sum = 0.0;
+  for (const auto& a : g.neighbors(v)) sum += g.edge(a.edge).weight;
+  return sum;
 }
 
-double set_cut(const Graph& g, const std::vector<VertexId>& part) {
-  std::vector<bool> side(static_cast<std::size_t>(g.num_vertices()), false);
-  for (VertexId v : part) side[static_cast<std::size_t>(v)] = true;
-  return g.cut_weight(side);
+/// delta_G(part), where part_of[x] == label exactly for the vertices x of
+/// `part`: the crossing edges are collected from the part's adjacency and
+/// summed in increasing id.
+double set_cut(const Graph& g, const std::vector<VertexId>& part,
+               const std::vector<std::uint8_t>& part_of, std::uint8_t label) {
+  std::vector<ht::graph::EdgeId> crossing;
+  for (VertexId v : part)
+    for (const auto& a : g.neighbors(v))
+      if (part_of[static_cast<std::size_t>(a.to)] != label)
+        crossing.push_back(a.edge);
+  std::sort(crossing.begin(), crossing.end());
+  double sum = 0.0;
+  for (const auto e : crossing) sum += g.edge(e).weight;
+  return sum;
 }
 
 }  // namespace
@@ -100,19 +116,30 @@ DecompositionTreeResult build_decomposition_tree_run(
     }
 
     // Split the cluster with the sparsest cut of its induced subgraph,
-    // wrapped 2-uniform so the hypergraph oracle applies. The view lets
-    // the wrapper be built straight from the parent's edge list — the
-    // intermediate induced Graph copy is gone.
+    // wrapped 2-uniform so the hypergraph oracle applies. The wrapper gets
+    // the cluster's internal edges in increasing id, as a scan of the
+    // parent's edge list would add them, but they are collected from the
+    // cluster's adjacency (each edge from its u endpoint). The view's
+    // remap must stay live until the wrapper is built (DESIGN.md §7).
     const ht::graph::SubsetView view(g, vertices);
+    std::vector<ht::graph::EdgeId> internal;
+    for (VertexId v : vertices)
+      for (const auto& a : g.neighbors(v))
+        if (view.contains(a.to) && g.edge(a.edge).u == v)
+          internal.push_back(a.edge);
+    std::sort(internal.begin(), internal.end());
     ht::hypergraph::Hypergraph wrapper(view.size());
-    for (const auto& e : g.edges()) {
-      const VertexId nu = view.local_of(e.u);
-      const VertexId nv = view.local_of(e.v);
-      if (nu != -1 && nv != -1) wrapper.add_edge({nu, nv}, e.weight);
+    for (const auto id : internal) {
+      const auto& e = g.edge(id);
+      wrapper.add_edge({view.local_of(e.u), view.local_of(e.v)}, e.weight);
     }
     wrapper.finalize();
 
     std::vector<std::vector<VertexId>> parts;
+    // Part labels for set_cut, filled only by a two-way split: 0 outside
+    // the cluster, 1 + the part's index inside. An array of its own: the
+    // oracle may have waited on the pool, so the view's remap can be stale.
+    std::vector<std::uint8_t> part_of;
     if (wrapper.num_edges() == 0) {
       // Disconnected dust: every vertex its own part.
       for (VertexId v : vertices) parts.push_back({v});
@@ -131,19 +158,25 @@ DecompositionTreeResult build_decomposition_tree_run(
         std::vector<bool> in_small(vertices.size(), false);
         for (VertexId local : cut.smaller_side)
           in_small[static_cast<std::size_t>(local)] = true;
+        part_of.assign(static_cast<std::size_t>(n), 0);
         std::vector<VertexId> small, large;
-        for (std::size_t i = 0; i < vertices.size(); ++i)
-          (in_small[i] ? small : large)
-              .push_back(view.old_of(static_cast<VertexId>(i)));
+        for (std::size_t i = 0; i < vertices.size(); ++i) {
+          const VertexId v = view.old_of(static_cast<VertexId>(i));
+          part_of[static_cast<std::size_t>(v)] = in_small[i] ? 1 : 2;
+          (in_small[i] ? small : large).push_back(v);
+        }
         parts.push_back(std::move(small));
         parts.push_back(std::move(large));
       }
     }
-    for (auto& part : parts) {
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      auto& part = parts[p];
       if (part.empty()) continue;
       SplitOutcome::Part out_part;
-      out_part.cut =
-          part.size() == 1 ? singleton_cut(g, part[0]) : set_cut(g, part);
+      out_part.cut = part.size() == 1
+                         ? singleton_cut(g, part[0])
+                         : set_cut(g, part, part_of,
+                                   static_cast<std::uint8_t>(p + 1));
       out_part.vertices = std::move(part);
       result.parts.push_back(std::move(out_part));
     }

@@ -80,6 +80,10 @@ class Graph {
   /// is mutable ("uncacheable"). WorkArena keys cached flow engines on it.
   std::uint64_t uid() const { return finalized_ ? uid_ : 0; }
 
+  /// v's incident edges, listed in increasing edge id, parallel edges
+  /// included (one entry each; there are no self-loops). Kernels that must
+  /// sum weights in edge-id order rely on this: the Fiedler iteration and
+  /// the decomposition builder's cuts (DESIGN.md §7).
   std::span<const AdjEntry> neighbors(VertexId v) const {
     HT_DCHECK(finalized_);
     const auto lo = adj_offsets_[static_cast<std::size_t>(v)];

@@ -1,7 +1,9 @@
 #include "partition/min_ratio_cut.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "flow/cut_engine.hpp"
 #include "lp/spectral.hpp"
@@ -193,51 +195,55 @@ VertexSeparator min_ratio_vertex_cut(const Graph& g, ht::Rng& rng) {
 
   // Cheap proxy per sweep position: separator = boundary of the lighter
   // prefix (the cheaper of "A-boundary inside B" / "B-boundary inside A").
-  // Positions are independent given the sweep order, so they evaluate in
-  // parallel into index-addressed slots; the tie-broken sort keeps the
-  // candidate ranking schedule-independent.
+  // The sweep keeps the edges crossing the prefix as a bitset over edge
+  // ids; moving a vertex into the prefix toggles its incident edges. Each
+  // position walks the set bits in increasing id, the order of a scan of
+  // the edge list, and counts each boundary vertex once by stamping it
+  // with the position, so both sums add the same terms in the same order
+  // for any weights. O(m/64 + |crossing|) per position.
   struct SweepCandidate {
     VertexId position;
     double proxy;
   };
-  std::vector<VertexId> pos_in_order(static_cast<std::size_t>(n));
-  for (VertexId i = 0; i < n; ++i)
-    pos_in_order[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] =
-        i;
-  std::vector<double> prefix_weight(static_cast<std::size_t>(n) + 1, 0.0);
-  for (VertexId i = 0; i < n; ++i)
-    prefix_weight[static_cast<std::size_t>(i) + 1] =
-        prefix_weight[static_cast<std::size_t>(i)] +
-        g.vertex_weight(order[static_cast<std::size_t>(i)]);
-  std::vector<SweepCandidate> candidates(static_cast<std::size_t>(n) - 1);
-  ht::parallel_for(candidates.size(), [&](std::size_t slot) {
-    const auto i = static_cast<VertexId>(slot) + 1;
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::uint64_t> crossing(
+      (static_cast<std::size_t>(g.num_edges()) + 63) / 64, 0);
+  std::vector<char> in_prefix(un, 0);
+  std::vector<VertexId> counted_a(un, 0), counted_b(un, 0);
+  const double total = g.total_vertex_weight();
+  double prefix_weight = 0.0;
+  std::vector<SweepCandidate> candidates;
+  candidates.reserve(un - 1);
+  for (VertexId i = 1; i < n; ++i) {
+    const VertexId moved = order[static_cast<std::size_t>(i) - 1];
+    in_prefix[static_cast<std::size_t>(moved)] = 1;
+    prefix_weight += g.vertex_weight(moved);
+    for (const auto& adj : g.neighbors(moved))
+      crossing[static_cast<std::size_t>(adj.edge) / 64] ^=
+          std::uint64_t{1} << (adj.edge % 64);
     double boundary_in_b = 0.0, boundary_in_a = 0.0;
-    std::vector<bool> counted_b(static_cast<std::size_t>(n), false);
-    std::vector<bool> counted_a(static_cast<std::size_t>(n), false);
-    for (const auto& e : g.edges()) {
-      const bool pu = pos_in_order[static_cast<std::size_t>(e.u)] < i;
-      const bool pv = pos_in_order[static_cast<std::size_t>(e.v)] < i;
-      if (pu == pv) continue;
-      const VertexId b_side = pu ? e.v : e.u;
-      const VertexId a_side = pu ? e.u : e.v;
-      if (!counted_b[static_cast<std::size_t>(b_side)]) {
-        counted_b[static_cast<std::size_t>(b_side)] = true;
-        boundary_in_b += g.vertex_weight(b_side);
-      }
-      if (!counted_a[static_cast<std::size_t>(a_side)]) {
-        counted_a[static_cast<std::size_t>(a_side)] = true;
-        boundary_in_a += g.vertex_weight(a_side);
+    for (std::size_t word = 0; word < crossing.size(); ++word) {
+      for (std::uint64_t bits = crossing[word]; bits != 0; bits &= bits - 1) {
+        const auto& e = g.edge(static_cast<ht::graph::EdgeId>(
+            word * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+        const bool pu = in_prefix[static_cast<std::size_t>(e.u)] != 0;
+        const VertexId b_side = pu ? e.v : e.u;
+        const VertexId a_side = pu ? e.u : e.v;
+        if (counted_b[static_cast<std::size_t>(b_side)] != i) {
+          counted_b[static_cast<std::size_t>(b_side)] = i;
+          boundary_in_b += g.vertex_weight(b_side);
+        }
+        if (counted_a[static_cast<std::size_t>(a_side)] != i) {
+          counted_a[static_cast<std::size_t>(a_side)] = i;
+          boundary_in_a += g.vertex_weight(a_side);
+        }
       }
     }
-    const double total = g.total_vertex_weight();
-    const double small_side =
-        std::min(prefix_weight[static_cast<std::size_t>(i)],
-                 total - prefix_weight[static_cast<std::size_t>(i)]);
+    const double small_side = std::min(prefix_weight, total - prefix_weight);
     const double wx = std::min(boundary_in_a, boundary_in_b);
     const double denom = small_side + wx;
-    candidates[slot] = {i, denom > 0.0 ? wx / denom : 1e100};
-  });
+    candidates.push_back({i, denom > 0.0 ? wx / denom : 1e100});
+  }
   std::sort(candidates.begin(), candidates.end(),
             [](const SweepCandidate& l, const SweepCandidate& r) {
               if (l.proxy != r.proxy) return l.proxy < r.proxy;

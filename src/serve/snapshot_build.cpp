@@ -240,9 +240,10 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   writer.set_timestamp(options.timestamp_unix_s);
 
   // The three artifacts are independent functions of `stored`: build them
-  // as one fork-join on the global pool. The caller helps by stealing,
-  // each builder's nested parallel work shares the same pool, and a
-  // 1-worker pool runs them serially in GH -> VCT -> decomposition order.
+  // as one fork-join on the global pool. The caller claims artifacts
+  // itself before it helps by stealing, each builder's nested parallel
+  // work shares the same pool, and a 1-worker pool runs them serially in
+  // GH -> VCT -> decomposition order.
   GomoryHuArtifact gh;
   VertexCutTreeArtifact vct;
   DecompositionArtifact decomp;

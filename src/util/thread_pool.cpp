@@ -150,8 +150,9 @@ void parallel_for(std::size_t n,
   // Static chunking: cell -> chunk mapping is independent of thread count,
   // and each cell seeds its own RNG from its index, so output is
   // deterministic. Shared state lives on the heap because the enqueued
-  // claimants can outlive this frame's fast path (help_until may return as
-  // soon as all chunks are claimed and finished by others).
+  // claimants can outlive this frame: parallel_for returns once every
+  // chunk has finished, while claimants that found nothing left to claim
+  // may still sit in the queue.
   struct State {
     std::function<void(std::size_t)> body;
     std::atomic<std::size_t> next_chunk{0};
@@ -162,26 +163,28 @@ void parallel_for(std::size_t n,
   auto state = std::make_shared<State>();
   state->body = body;
   const std::size_t chunks = std::min(n, pool.size() * 4);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    pool.enqueue([state, chunks, n] {
-      for (;;) {
-        const std::size_t chunk = state->next_chunk.fetch_add(1);
-        if (chunk >= chunks) break;
-        const std::size_t lo = chunk * n / chunks;
-        const std::size_t hi = (chunk + 1) * n / chunks;
-        try {
-          for (std::size_t i = lo; i < hi; ++i) state->body(i);
-        } catch (...) {
-          std::scoped_lock lock(state->error_mutex);
-          if (!state->first_error)
-            state->first_error = std::current_exception();
-        }
-        state->done.fetch_add(1);
+  const auto claim_chunks = [state, chunks, n] {
+    for (;;) {
+      const std::size_t chunk = state->next_chunk.fetch_add(1);
+      if (chunk >= chunks) break;
+      const std::size_t lo = chunk * n / chunks;
+      const std::size_t hi = (chunk + 1) * n / chunks;
+      try {
+        for (std::size_t i = lo; i < hi; ++i) state->body(i);
+      } catch (...) {
+        std::scoped_lock lock(state->error_mutex);
+        if (!state->first_error)
+          state->first_error = std::current_exception();
       }
-    });
-  }
-  // The calling thread participates: it steals queued tasks (its own
-  // chunk claimants or unrelated work) until every chunk has finished.
+      state->done.fetch_add(1);
+    }
+  };
+  for (std::size_t c = 0; c < chunks; ++c) pool.enqueue(claim_chunks);
+  // Caller first: the calling thread claims chunks itself before it helps
+  // with the queue, whose front may hold other callers' work (another
+  // builder's pieces in a concurrent snapshot build). Only then does it
+  // steal until the chunks that other threads claimed have finished.
+  claim_chunks();
   pool.help_until([&] { return state->done.load() == chunks; });
   if (state->first_error) std::rethrow_exception(state->first_error);
 }

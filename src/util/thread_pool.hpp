@@ -115,10 +115,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs body(i) for i in [0, n), distributing chunks over the global pool;
-/// the calling thread participates by stealing, so nested calls from pool
-/// workers are safe. `body` must be safe to call concurrently for distinct
-/// i. Exceptions from body are rethrown (first one wins) after all
+/// Runs body(i) for i in [0, n), distributing chunks over the global pool.
+/// The calling thread claims chunks itself first, then steals queued tasks
+/// until the chunks other threads claimed have finished, so nested calls
+/// from pool workers are safe. `body` must be safe to call concurrently for
+/// distinct i. Exceptions from body are rethrown (first one wins) after all
 /// iterations finish.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 

@@ -10,6 +10,7 @@
 #include "partition/exact.hpp"
 #include "partition/graph_bisection.hpp"
 #include "partition/unbalanced_kcut.hpp"
+#include "reduction/clique_expansion.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -32,16 +33,35 @@ TEST(DecompositionTree, EmbedsAllVerticesAsLeaves) {
 }
 
 TEST(DecompositionTree, LeafEdgeWeightsAreDegreeCuts) {
-  const Graph g = ht::graph::path(5);
-  const Tree t = ht::cuttree::build_decomposition_tree_run(g).tree;
-  // Leaf above vertex v carries delta_G({v}) = weighted degree.
-  g.finalized();
-  for (VertexId v = 0; v < 5; ++v) {
-    const auto node = t.node_of_vertex(v);
-    std::vector<bool> single(5, false);
-    single[static_cast<std::size_t>(v)] = true;
-    EXPECT_DOUBLE_EQ(t.edge_weight(node), g.cut_weight(single));
+  // Every tree edge, above a leaf or a cluster, carries delta_G of the
+  // vertices below it, bit for bit. The clique expansion of a mixed 3/4-
+  // uniform hypergraph has edge weights 1/2 and 1/3, whose sums round, so
+  // a cut summed in any order but g.cut_weight's would show here.
+  ht::Rng rng(35);
+  Hypergraph h(40);
+  for (int e = 0; e < 70; ++e) {
+    const auto size = static_cast<std::int32_t>(3 + rng.next_below(2));
+    h.add_edge(rng.sample_without_replacement(40, size));
   }
+  h.finalize();
+  const Graph g = ht::reduction::clique_expansion(h);
+  const Tree t = ht::cuttree::build_decomposition_tree_run(g).tree;
+  std::vector<std::vector<bool>> below(
+      static_cast<std::size_t>(t.num_nodes()),
+      std::vector<bool>(static_cast<std::size_t>(g.num_vertices()), false));
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    for (auto node = t.node_of_vertex(v); node != -1; node = t.parent(node))
+      below[static_cast<std::size_t>(node)][static_cast<std::size_t>(v)] =
+          true;
+  int clusters = 0;
+  for (ht::cuttree::NodeId node = 0; node < t.num_nodes(); ++node) {
+    if (t.parent(node) == -1) continue;
+    clusters += t.children(node).empty() ? 0 : 1;
+    EXPECT_EQ(t.edge_weight(node),
+              g.cut_weight(below[static_cast<std::size_t>(node)]))
+        << "node " << node;
+  }
+  EXPECT_GT(clusters, 2);
 }
 
 class DecompositionDomination

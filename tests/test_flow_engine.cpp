@@ -28,6 +28,8 @@
 #include "hypergraph/generators.hpp"
 #include "hypergraph/subset_view.hpp"
 #include "obs/metrics.hpp"
+#include "reduction/clique_expansion.hpp"
+#include "reduction/star_expansion.hpp"
 #include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
 #include "util/rng.hpp"
@@ -333,6 +335,52 @@ TEST(FlowEngineGolden, Theorem1BisectionUnchanged) {
   for (bool b : rep.solution.side) s += b ? '1' : '0';
   EXPECT_EQ(rep.solution.cut, 37.0);
   EXPECT_EQ(hash_hex(s), "75cceafb461218bb");
+}
+
+// Copy of `h` with hyperedge weights drawn from [0.3, 2.0). Sums of such
+// weights round, so a golden over them pins the order of every weighted
+// reduction on the way, not just the set of terms.
+ht::hypergraph::Hypergraph with_fractional_weights(
+    const ht::hypergraph::Hypergraph& h, ht::Rng& rng) {
+  ht::hypergraph::Hypergraph out(h.num_vertices());
+  for (ht::hypergraph::EdgeId e = 0; e < h.num_edges(); ++e) {
+    const auto pins = h.pins(e);
+    out.add_edge({pins.begin(), pins.end()}, 0.3 + 1.7 * rng.next_double());
+  }
+  out.finalize();
+  return out;
+}
+
+TEST(FlowEngineGolden, VertexCutTreeFractionalStarExpansionUnchanged) {
+  // Star-node weights are fractional here, so the min-ratio sweep's
+  // boundary sums and the Fiedler mass all round. Captured before the
+  // crossing-set sweep and the gather-form Fiedler iteration.
+  ht::Rng rng(5150);
+  const auto h = with_fractional_weights(
+      ht::hypergraph::random_uniform(40, 80, 3, rng), rng);
+  const auto star = ht::reduction::star_expansion(h);
+  const auto served = ht::cuttree::build_vertex_cut_tree(star.graph);
+  EXPECT_EQ(hash_hex(ht::cuttree::tree_signature(served.tree)),
+            "517a33cd9da5a87c");
+  ht::cuttree::VertexCutTreeOptions deep;
+  deep.threshold_override = 0.75;
+  const auto r = ht::cuttree::build_vertex_cut_tree(star.graph, deep);
+  EXPECT_EQ(hash_hex(ht::cuttree::tree_signature(r.tree)),
+            "00221188891ae118");
+  EXPECT_EQ(r.num_pieces, 40);
+}
+
+TEST(FlowEngineGolden, DecompositionTreeFourUniformCliqueExpansionUnchanged) {
+  // Clique-expansion edges of a 4-uniform hypergraph weigh w/3, and with
+  // fractional w no two terms of a cluster cut need be equal, so the cut
+  // rounds differently in a different order. Captured before the
+  // piece-local cuts.
+  ht::Rng rng(6160);
+  const auto h = with_fractional_weights(
+      ht::hypergraph::random_uniform(60, 90, 4, rng), rng);
+  const auto g = ht::reduction::clique_expansion(h);
+  const auto t = ht::cuttree::build_decomposition_tree_run(g).tree;
+  EXPECT_EQ(hash_hex(ht::cuttree::tree_signature(t)), "0afd316a937a2d2a");
 }
 
 TEST(FlowEngineGolden, GoldensHoldWithReuseDisabled) {

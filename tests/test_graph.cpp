@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -32,14 +32,29 @@ TEST(Graph, RejectsSelfLoopAndBadIds) {
 }
 
 TEST(Graph, NeighborsMatchEdges) {
+  // neighbors(v) lists v's edges in increasing edge id, parallel edges
+  // included — the order the spectral and decomposition kernels sum in.
   Graph g(4);
+  g.add_edge(2, 0);
   g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
+  g.add_edge(3, 0);
+  g.add_edge(1, 0);  // parallel to edge 1
+  g.add_edge(2, 3);
   g.finalize();
-  std::set<VertexId> ns;
-  for (const auto& a : g.neighbors(0)) ns.insert(a.to);
-  EXPECT_EQ(ns, (std::set<VertexId>{1, 2, 3}));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    std::vector<ht::graph::EdgeId> listed, incident;
+    for (const auto& a : g.neighbors(v)) {
+      const auto& e = g.edge(a.edge);
+      EXPECT_TRUE((e.u == v && e.v == a.to) || (e.v == v && e.u == a.to));
+      listed.push_back(a.edge);
+    }
+    for (ht::graph::EdgeId id = 0; id < g.num_edges(); ++id)
+      if (g.edge(id).u == v || g.edge(id).v == v) incident.push_back(id);
+    EXPECT_EQ(listed, incident) << "vertex " << v;
+  }
+  std::vector<VertexId> around_zero;
+  for (const auto& a : g.neighbors(0)) around_zero.push_back(a.to);
+  EXPECT_EQ(around_zero, (std::vector<VertexId>{2, 1, 3, 1}));
 }
 
 TEST(Graph, VertexWeightsDefaultAndTotal) {

@@ -4,13 +4,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/perf_counters.hpp"
 #include "util/rng.hpp"
+#include "util/run_context.hpp"
 #include "util/stats.hpp"
 #include "util/subsets.hpp"
 #include "util/table.hpp"
@@ -290,13 +293,46 @@ TEST(ThreadPool, TryRunOneEmptyQueue) {
 }
 
 TEST(ThreadPool, ConfiguredThreadsParsesEnv) {
-  ::setenv("HT_THREADS", "3", 1);
-  EXPECT_EQ(ht::ThreadPool::configured_threads(), 3u);
-  ::setenv("HT_THREADS", "0", 1);
-  EXPECT_GE(ht::ThreadPool::configured_threads(), 1u);
-  ::setenv("HT_THREADS", "junk", 1);
-  EXPECT_GE(ht::ThreadPool::configured_threads(), 1u);
-  ::unsetenv("HT_THREADS");
+  // HT_THREADS is parsed once per process (util/run_context.hpp), so the
+  // value is fixed by whichever call came first; a later setenv must not
+  // move it. RunContextEnv.ParseThreadCount covers the parse cases.
+  const std::size_t threads = ht::ThreadPool::configured_threads();
+  EXPECT_EQ(threads, ht::env_default_threads());
+  EXPECT_GE(threads, 1u);
+  const char* before = std::getenv("HT_THREADS");
+  const std::string saved = before == nullptr ? "" : before;
+  ::setenv("HT_THREADS", threads == 3 ? "2" : "3", 1);
+  EXPECT_EQ(ht::ThreadPool::configured_threads(), threads);
+  if (before == nullptr) {
+    ::unsetenv("HT_THREADS");
+  } else {
+    ::setenv("HT_THREADS", saved.c_str(), 1);
+  }
+}
+
+TEST(ThreadPool, ParallelForCallerRunsItsChunksBeforeQueuedWork) {
+  // Both workers are parked and a foreign task waits at the front of the
+  // queue: parallel_for must run its own chunks on the calling thread
+  // and return without running the foreign task first.
+  ht::ThreadPool::reset_global(2);
+  auto& pool = ht::ThreadPool::global();
+  std::latch parked(2), release(1);
+  for (int w = 0; w < 2; ++w)
+    pool.enqueue([&] {
+      parked.count_down();
+      release.wait();
+    });
+  parked.wait();
+  std::atomic<bool> foreign_ran{false};
+  pool.enqueue([&] { foreign_ran = true; });
+  std::atomic<int> chunks_run{0};
+  ht::parallel_for(2, [&](std::size_t) { chunks_run.fetch_add(1); });
+  EXPECT_EQ(chunks_run.load(), 2);
+  EXPECT_FALSE(foreign_ran.load()) << "foreign task ran first";
+  release.count_down();
+  pool.wait_idle();
+  EXPECT_TRUE(foreign_ran.load());
+  ht::ThreadPool::reset_global();
 }
 
 TEST(ThreadPool, ResetGlobalChangesSize) {
