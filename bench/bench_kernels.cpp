@@ -11,7 +11,6 @@
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
 #include "lp/spectral.hpp"
-#include "flow/push_relabel.hpp"
 #include "partition/fm.hpp"
 #include "partition/fm_fast.hpp"
 #include "partition/sparsest_cut.hpp"
@@ -86,18 +85,6 @@ void BM_FmBisectionFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FmBisectionFast)->Arg(64)->Arg(256)->Arg(512)->Arg(2048);
-
-void BM_PushRelabelVsDinic_PR(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  ht::Rng rng(21);
-  const auto g = ht::graph::gnp_connected(n, 8.0 / n, rng);
-  for (auto _ : state) {
-    ht::flow::PushRelabel<double> pr(n);
-    for (const auto& e : g.edges()) pr.add_undirected(e.u, e.v, e.weight);
-    benchmark::DoNotOptimize(pr.max_flow(0, n - 1));
-  }
-}
-BENCHMARK(BM_PushRelabelVsDinic_PR)->Arg(256)->Arg(1024);
 
 void BM_Fiedler(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));

@@ -5,7 +5,6 @@
 #include <optional>
 #include <span>
 
-#include "flow/certificate.hpp"
 #include "flow/flow_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,27 +30,8 @@ ht::obs::Histogram& solve_ns_histogram() {
   return h;
 }
 
-ht::obs::Counter& certificate_queries_counter() {
-  static ht::obs::Counter& c =
-      ht::obs::MetricsRegistry::global().counter("flow.certificate_queries");
-  return c;
-}
-
-ht::obs::Counter& certificate_rejects_counter() {
-  static ht::obs::Counter& c =
-      ht::obs::MetricsRegistry::global().counter("flow.certificate_rejects");
-  return c;
-}
-
-ht::obs::Counter& certificate_dropped_counter() {
-  static ht::obs::Counter& c = ht::obs::MetricsRegistry::global().counter(
-      "flow.certificate_dropped_edges");
-  return c;
-}
-
-/// Records the end-to-end time of one min-cut query (solve + witness +
-/// certificate fallback, excluding network construction) into the
-/// "flow.solve_ns" histogram — the source of the p99 flow-time gate.
+/// Records the end-to-end time of one min-cut query (solve + witness,
+/// excluding network construction) into the "flow.solve_ns" histogram.
 class SolveTimer {
  public:
   SolveTimer() : start_(std::chrono::steady_clock::now()) {}
@@ -92,7 +72,6 @@ void check_disjoint_nonempty(PieceAllocator::Scope& scope,
 /// held across a thread-pool wait (see WorkArena).
 template <typename BuildFn>
 FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
-                             bool allow_reuse,
                              std::optional<FlowNetwork>& fresh,
                              BuildFn&& build) {
   // Apply the run's memory budget before parking another engine: evict
@@ -101,7 +80,7 @@ FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
     const std::size_t budget = run->context().memory_budget_bytes;
     if (budget != 0) ht::WorkArena::local().enforce_budget(budget);
   }
-  if (allow_reuse && flow_reuse_enabled() && uid != 0) {
+  if (flow_reuse_enabled() && uid != 0) {
     FlowNetwork& net = ht::WorkArena::local().acquire<FlowNetwork>(
         kind, uid, static_cast<BuildFn&&>(build));
     if (net.queries() > 0) PerfCounters::global().add_flow_reuse();
@@ -109,43 +88,6 @@ FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
   }
   fresh.emplace(build());
   return *fresh;
-}
-
-/// Certificate thresholds for the structure, cached next to its flow
-/// network when caching is available, computed locally otherwise.
-template <typename ComputeFn>
-const CertificateThresholds& acquire_thresholds(
-    std::uint32_t kind, std::uint64_t uid, bool allow_reuse,
-    std::optional<CertificateThresholds>& fresh, ComputeFn&& compute) {
-  if (allow_reuse && flow_reuse_enabled() && uid != 0) {
-    return ht::WorkArena::local().acquire<CertificateThresholds>(
-        kind, uid, static_cast<ComputeFn&&>(compute));
-  }
-  fresh.emplace(compute());
-  return *fresh;
-}
-
-double weighted_degree(const Graph& g, GraphVertexId v) {
-  double sum = 0.0;
-  for (const auto& adj : g.neighbors(v)) sum += g.edge(adj.edge).weight;
-  return sum;
-}
-
-double weighted_degree(const Hypergraph& h, HyperVertexId v) {
-  double sum = 0.0;
-  for (auto e : h.incident_edges(v)) sum += h.edge_weight(e);
-  return sum;
-}
-
-/// min(total weighted degree of A, of B): an upper bound on the A-B min
-/// cut, and the k a certificate must preserve cuts below.
-template <typename Structure, typename VertexT>
-double degree_bound(const Structure& s, const std::vector<VertexT>& a,
-                    const std::vector<VertexT>& b) {
-  double da = 0.0, db = 0.0;
-  for (VertexT v : a) da += weighted_degree(s, v);
-  for (VertexT v : b) db += weighted_degree(s, v);
-  return std::min(da, db);
 }
 
 }  // namespace
@@ -169,81 +111,28 @@ EdgeCutResult CutEngine::min_edge_cut(
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, g.num_vertices());
   const NodeId n = g.num_vertices();
-  const bool allow_reuse = options_.reuse != FlowReuse::kNone;
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
-      acquire_network(kEdgeCutNetwork, g.uid(), allow_reuse, fresh,
+      acquire_network(kEdgeCutNetwork, g.uid(), fresh,
                       [&g] { return FlowNetwork::edge_cut_network(g); });
-  net.set_poll_stride(options_.poll_stride);
   net.reset();
-
-  // Certificate sparsification: deactivate every edge whose CAPFOREST
-  // value already meets this query's degree bound. Exactness comes from
-  // the acceptance check below, not from the thresholds.
-  std::span<ht::graph::EdgeId> dropped;
-  std::size_t dropped_count = 0;
-  if (options_.certificate && net.num_structural() == g.num_edges()) {
-    const double bound = degree_bound(g, a, b);
-    if (bound > 0.0) {
-      certificate_queries_counter().add();
-      std::optional<CertificateThresholds> fresh_cert;
-      const CertificateThresholds& cert = acquire_thresholds(
-          kEdgeCertificateKind, g.uid(), allow_reuse, fresh_cert,
-          [&g] { return edge_certificate_thresholds(g); });
-      dropped = scope.alloc<ht::graph::EdgeId>(
-          static_cast<std::size_t>(g.num_edges()));
-      dropped_count = collect_certified(cert.threshold, bound, dropped.data());
-      for (std::size_t d = 0; d < dropped_count; ++d)
-        net.deactivate_structural(dropped[d]);
-    }
-  }
-
   for (GraphVertexId v : a) net.attach_source(v);
   for (GraphVertexId v : b) net.attach_sink(v);
-  const bool push_relabel = options_.algorithm == FlowAlgorithm::kPushRelabel;
-  push_relabel ? net.max_flow_push_relabel() : net.max_flow();
-
-  auto build_witness = [&](EdgeCutResult& out) {
-    out.complete = net.last_flow_complete();
-    const std::vector<char>& reach = net.source_side();
-    out.source_side.assign(static_cast<std::size_t>(n), false);
-    for (NodeId v = 0; v < n; ++v)
-      out.source_side[static_cast<std::size_t>(v)] =
-          reach[static_cast<std::size_t>(v)] != 0;
-    out.cut_edges.clear();
-    out.value = 0.0;
-    for (ht::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& edge = g.edge(e);
-      if (out.source_side[static_cast<std::size_t>(edge.u)] !=
-          out.source_side[static_cast<std::size_t>(edge.v)]) {
-        out.cut_edges.push_back(e);
-        out.value += edge.weight;
-      }
-    }
-  };
+  net.max_flow();
 
   EdgeCutResult out;
-  build_witness(out);
-  if (dropped_count > 0 && out.complete) {
-    // Acceptance check: if no dropped edge straddles the canonical cut of
-    // the sparsified network, that cut is the full network's canonical
-    // min cut with its exact value (DESIGN.md §13); otherwise the bound
-    // was not conservative enough here — re-solve on the full network.
-    bool rejected = false;
-    for (std::size_t d = 0; d < dropped_count && !rejected; ++d) {
-      const auto& edge = g.edge(dropped[d]);
-      rejected = out.source_side[static_cast<std::size_t>(edge.u)] !=
-                 out.source_side[static_cast<std::size_t>(edge.v)];
-    }
-    if (rejected) {
-      certificate_rejects_counter().add();
-      net.reset();
-      for (GraphVertexId v : a) net.attach_source(v);
-      for (GraphVertexId v : b) net.attach_sink(v);
-      push_relabel ? net.max_flow_push_relabel() : net.max_flow();
-      build_witness(out);
-    } else {
-      certificate_dropped_counter().add(dropped_count);
+  out.complete = net.last_flow_complete();
+  const std::vector<char>& reach = net.source_side();
+  out.source_side.assign(static_cast<std::size_t>(n), false);
+  for (NodeId v = 0; v < n; ++v)
+    out.source_side[static_cast<std::size_t>(v)] =
+        reach[static_cast<std::size_t>(v)] != 0;
+  for (ht::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto& edge = g.edge(e);
+    if (out.source_side[static_cast<std::size_t>(edge.u)] !=
+        out.source_side[static_cast<std::size_t>(edge.v)]) {
+      out.cut_edges.push_back(e);
+      out.value += edge.weight;
     }
   }
   span.arg("cut_value", out.value);
@@ -266,18 +155,14 @@ VertexCutResult CutEngine::min_vertex_cut(
   // Node splitting: v_in = 2v, v_out = 2v+1 (see vertex_cut_network).
   auto v_in = [](GraphVertexId v) { return static_cast<NodeId>(2 * v); };
   auto v_out = [](GraphVertexId v) { return static_cast<NodeId>(2 * v + 1); };
-  const bool allow_reuse = options_.reuse != FlowReuse::kNone;
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
-      acquire_network(kVertexCutNetwork, g.uid(), allow_reuse, fresh,
+      acquire_network(kVertexCutNetwork, g.uid(), fresh,
                       [&g] { return FlowNetwork::vertex_cut_network(g); });
-  net.set_poll_stride(options_.poll_stride);
   net.reset();
   for (GraphVertexId v : a) net.attach_source(v);
   for (GraphVertexId v : b) net.attach_sink(v);
-  options_.algorithm == FlowAlgorithm::kPushRelabel
-      ? net.max_flow_push_relabel()
-      : net.max_flow();
+  net.max_flow();
 
   VertexCutResult out;
   out.complete = net.last_flow_complete();
@@ -307,7 +192,6 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, h.num_vertices());
   const auto n = h.num_vertices();
-  const auto m = h.num_edges();
   // Lawler expansion node ids (see hyperedge_cut_network).
   auto e_in = [n](ht::hypergraph::EdgeId e) {
     return static_cast<NodeId>(n + 2 * e);
@@ -315,90 +199,26 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   auto e_out = [n](ht::hypergraph::EdgeId e) {
     return static_cast<NodeId>(n + 2 * e + 1);
   };
-  const bool allow_reuse = options_.reuse != FlowReuse::kNone;
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
-      acquire_network(kHyperedgeCutNetwork, h.uid(), allow_reuse, fresh,
+      acquire_network(kHyperedgeCutNetwork, h.uid(), fresh,
                       [&h] { return FlowNetwork::hyperedge_cut_network(h); });
-  net.set_poll_stride(options_.poll_stride);
   net.reset();
-
-  std::span<char> dropped_mask;
-  std::size_t dropped_count = 0;
-  if (options_.certificate && net.num_structural() == m) {
-    const double bound = degree_bound(h, a, b);
-    if (bound > 0.0) {
-      certificate_queries_counter().add();
-      std::optional<CertificateThresholds> fresh_cert;
-      const CertificateThresholds& cert = acquire_thresholds(
-          kHyperedgeCertificateKind, h.uid(), allow_reuse, fresh_cert,
-          [&h] { return hyperedge_certificate_thresholds(h); });
-      dropped_mask = scope.alloc_zero<char>(static_cast<std::size_t>(m));
-      std::span<ht::hypergraph::EdgeId> certified =
-          scope.alloc<ht::hypergraph::EdgeId>(static_cast<std::size_t>(m));
-      dropped_count =
-          collect_certified(cert.threshold, bound, certified.data());
-      for (std::size_t d = 0; d < dropped_count; ++d) {
-        net.deactivate_structural(certified[d]);
-        dropped_mask[static_cast<std::size_t>(certified[d])] = 1;
-      }
-    }
-  }
-
   for (auto v : a) net.attach_source(v);
   for (auto v : b) net.attach_sink(v);
-  const bool push_relabel = options_.algorithm == FlowAlgorithm::kPushRelabel;
-  push_relabel ? net.max_flow_push_relabel() : net.max_flow();
+  net.max_flow();
 
   HyperedgeCutResult out;
   out.complete = net.last_flow_complete();
-  // Witness + acceptance in one pass. A kept hyperedge is cut iff e_in is
-  // reachable and e_out is not (for any max flow, e_out is reachable
-  // exactly when all pins are). A *deactivated* hyperedge never carries
-  // flow, so its e_out is unreachable regardless — classify it by its
-  // pins instead: all pins on one side means it is not cut (and the full
-  // solve would agree); pins straddling the cut refutes the certificate.
-  bool rejected = false;
-  {
-    const std::vector<char>& reach = net.source_side();
-    for (ht::hypergraph::EdgeId e = 0; e < m && !rejected; ++e) {
-      if (dropped_count > 0 && dropped_mask[static_cast<std::size_t>(e)]) {
-        bool any = false, all = true;
-        for (auto v : h.pins(e)) {
-          if (reach[static_cast<std::size_t>(v)])
-            any = true;
-          else
-            all = false;
-        }
-        rejected = any && !all;
-        continue;
-      }
-      if (reach[static_cast<std::size_t>(e_in(e))] &&
-          !reach[static_cast<std::size_t>(e_out(e))]) {
-        out.cut_edges.push_back(e);
-        out.value += h.edge_weight(e);
-      }
+  // Hyperedge e is cut iff e_in is reachable and e_out is not (for any
+  // max flow, e_out is reachable exactly when all pins are).
+  const std::vector<char>& reach = net.source_side();
+  for (ht::hypergraph::EdgeId e = 0; e < h.num_edges(); ++e) {
+    if (reach[static_cast<std::size_t>(e_in(e))] &&
+        !reach[static_cast<std::size_t>(e_out(e))]) {
+      out.cut_edges.push_back(e);
+      out.value += h.edge_weight(e);
     }
-  }
-  if (rejected && out.complete) {
-    certificate_rejects_counter().add();
-    net.reset();
-    for (auto v : a) net.attach_source(v);
-    for (auto v : b) net.attach_sink(v);
-    push_relabel ? net.max_flow_push_relabel() : net.max_flow();
-    out.cut_edges.clear();
-    out.value = 0.0;
-    out.complete = net.last_flow_complete();
-    const std::vector<char>& reach = net.source_side();
-    for (ht::hypergraph::EdgeId e = 0; e < m; ++e) {
-      if (reach[static_cast<std::size_t>(e_in(e))] &&
-          !reach[static_cast<std::size_t>(e_out(e))]) {
-        out.cut_edges.push_back(e);
-        out.value += h.edge_weight(e);
-      }
-    }
-  } else if (dropped_count > 0 && !rejected) {
-    certificate_dropped_counter().add(dropped_count);
   }
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
@@ -469,37 +289,65 @@ double HypergraphGomoryHuTree::min_cut(HyperVertexId s,
 
 namespace {
 
-/// Selects the next deterministic virtual batch for FlowReuse::
-/// kArenaAndCuts: up to kVirtualBatch unapplied vertices, ascending,
-/// whose current parents are pairwise distinct and where no selected
-/// vertex is another's parent. Under those two conditions an apply can
-/// neither re-hang nor splice any other selected vertex, so every
-/// speculative flow of the batch is applied as-is — the ordering trades
-/// the serial-identical apply sequence for zero stale recomputes. The
-/// batch size is a constant (not the pool size) so the resulting tree is
-/// identical for every thread count.
-constexpr std::int32_t kVirtualBatch = 16;
-
-template <typename VertexT>
-void select_distinct_parent_batch(const std::vector<VertexT>& parent,
-                                  const std::vector<char>& applied,
-                                  std::vector<char>& taken,
-                                  std::vector<VertexT>& batch) {
-  batch.clear();
-  const auto n = static_cast<VertexT>(parent.size());
-  for (VertexT i = 1;
-       i < n && batch.size() < static_cast<std::size_t>(kVirtualBatch); ++i) {
-    if (applied[static_cast<std::size_t>(i)]) continue;
-    const VertexT j = parent[static_cast<std::size_t>(i)];
-    // taken[v] means v is already selected or is a selected vertex's
-    // parent; either role conflicts with selecting i or its parent.
-    if (taken[static_cast<std::size_t>(i)] ||
-        taken[static_cast<std::size_t>(j)])
-      continue;
-    taken[static_cast<std::size_t>(i)] = 1;
-    taken[static_cast<std::size_t>(j)] = 1;
-    batch.push_back(i);
+/// Gusfield's n-1 flows, the loop both Gomory–Hu builders share. Builds
+/// out.tree over n vertices rooted at 0 and fills out.applied and
+/// out.status.
+///
+/// The (i, parent[i]) max-flow subproblems of a batch are independent
+/// given a parent snapshot, so `solve(i, j)` runs them over the pool; a
+/// cut is applied only when i's parent is unchanged at apply time,
+/// otherwise it is recomputed against the live parent. The applied
+/// sequence is therefore exactly the serial Gusfield run — identical for
+/// every thread count and batch size. `apply(i, cut)` is the builder's own
+/// step: it records the cut as i's parent cut and re-hangs the vertices
+/// after i.
+template <typename Cut, typename Result, typename SolveFn, typename ApplyFn>
+void run_gusfield(std::int32_t n, Result& out, const SolveFn& solve,
+                  const ApplyFn& apply) {
+  auto& parent = out.tree.parent;
+  out.tree.root = 0;
+  parent.assign(static_cast<std::size_t>(n), 0);
+  parent[0] = -1;
+  out.tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
+  RunState* run = current_run_state();
+  const auto batch_size = static_cast<std::int32_t>(
+      std::max<std::size_t>(1, ThreadPool::global().size()));
+  bool interrupted = false;
+  for (std::int32_t lo = 1; lo < n && !interrupted; lo += batch_size) {
+    const std::int32_t hi = std::min(n, lo + batch_size);
+    const auto count = static_cast<std::size_t>(hi - lo);
+    const std::vector<std::int32_t> snapshot(parent.begin() + lo,
+                                             parent.begin() + hi);
+    std::vector<Cut> speculative(count);
+    if (count > 1) {
+      parallel_for(count, [&](std::size_t t) {
+        speculative[t] = solve(lo + static_cast<std::int32_t>(t), snapshot[t]);
+      });
+    }
+    for (std::int32_t i = lo; i < hi; ++i) {
+      // Anytime stop, at the serial apply boundary only: vertices before i
+      // keep their exact cuts, i and beyond stay provisional. An
+      // interrupted (incomplete) flow is never applied — its witness need
+      // not separate.
+      if (run != nullptr && !run->check().ok()) {
+        interrupted = true;
+        break;
+      }
+      const std::int32_t j = parent[static_cast<std::size_t>(i)];
+      const auto t = static_cast<std::size_t>(i - lo);
+      const Cut cut = (count > 1 && snapshot[t] == j)
+                          ? std::move(speculative[t])
+                          : solve(i, j);
+      if (!cut.complete) {
+        interrupted = true;
+        break;
+      }
+      apply(i, cut);
+      ++out.applied;
+      if (run != nullptr) run->note_piece();
+    }
   }
+  out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
 }
 
 }  // namespace
@@ -513,27 +361,16 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   // nested flow.min_edge_cut spans carry the per-flow detail.
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
-  RunState* run = current_run_state();
   GomoryHuRunResult out;
   GomoryHuTree& tree = out.tree;
-  tree.root = 0;
-  tree.parent.assign(static_cast<std::size_t>(n), 0);
-  tree.parent[0] = -1;
-  tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
-  std::vector<char> applied(static_cast<std::size_t>(n), 0);
-  applied[0] = 1;  // the root is never applied
 
-  // Gusfield apply step: record the cut, re-hang the unapplied vertices
-  // that fell on i's side, splice if j's parent did too. With in-order
-  // processing "unapplied" is exactly "k > i", so this is byte-identical
-  // to the classic loop.
-  auto apply = [&](GraphVertexId i, const EdgeCutResult& cut) {
+  // Gusfield apply step: record the cut, re-hang the vertices not yet
+  // applied (k > i) that fell on i's side, splice if j's parent did too.
+  const auto apply = [&](GraphVertexId i, const EdgeCutResult& cut) {
     const GraphVertexId j = tree.parent[static_cast<std::size_t>(i)];
     tree.parent_cut[static_cast<std::size_t>(i)] = cut.value;
-    applied[static_cast<std::size_t>(i)] = 1;
-    for (GraphVertexId k = 1; k < n; ++k) {
-      if (!applied[static_cast<std::size_t>(k)] &&
-          tree.parent[static_cast<std::size_t>(k)] == j &&
+    for (GraphVertexId k = i + 1; k < n; ++k) {
+      if (tree.parent[static_cast<std::size_t>(k)] == j &&
           cut.source_side[static_cast<std::size_t>(k)]) {
         tree.parent[static_cast<std::size_t>(k)] = i;
       }
@@ -548,93 +385,13 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
       tree.parent[static_cast<std::size_t>(j)] = i;
       tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
     }
-    ++out.applied;
-    if (run != nullptr) run->note_piece();
   };
-
-  bool interrupted = false;
-  if (options_.reuse == FlowReuse::kArenaAndCuts) {
-    // Deterministic virtual batches with pairwise-distinct parents: every
-    // speculative flow is applied, none recomputed (see
-    // select_distinct_parent_batch).
-    std::vector<char> taken(static_cast<std::size_t>(n), 0);
-    std::vector<GraphVertexId> batch;
-    std::vector<EdgeCutResult> speculative;
-    while (out.applied + 1 < n && !interrupted) {
-      select_distinct_parent_batch(tree.parent, applied, taken, batch);
-      HT_DCHECK(!batch.empty());
-      speculative.assign(batch.size(), EdgeCutResult{});
-      if (batch.size() > 1) {
-        parallel_for(batch.size(), [&](std::size_t t) {
-          speculative[t] = min_edge_cut(
-              g, {batch[t]},
-              {tree.parent[static_cast<std::size_t>(batch[t])]});
-        });
-      }
-      for (std::size_t t = 0; t < batch.size(); ++t) {
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const GraphVertexId i = batch[t];
-        const EdgeCutResult cut =
-            batch.size() > 1
-                ? std::move(speculative[t])
-                : min_edge_cut(
-                      g, {i}, {tree.parent[static_cast<std::size_t>(i)]});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-      std::fill(taken.begin(), taken.end(), 0);
-    }
-  } else {
-    // Batched speculation: the (i, parent[i]) max-flow subproblems of a
-    // batch are independent given a parent snapshot, so they run over the
-    // pool; a cut is applied only when i's parent is unchanged at apply
-    // time, otherwise it is recomputed against the live parent. The
-    // applied sequence is therefore exactly the serial Gusfield run —
-    // identical for every thread count and batch size.
-    const auto batch_size = static_cast<GraphVertexId>(
-        std::max<std::size_t>(1, ThreadPool::global().size()));
-    for (GraphVertexId lo = 1; lo < n && !interrupted; lo += batch_size) {
-      const GraphVertexId hi = std::min<GraphVertexId>(n, lo + batch_size);
-      const auto count = static_cast<std::size_t>(hi - lo);
-      std::vector<GraphVertexId> snapshot(count);
-      for (std::size_t t = 0; t < count; ++t)
-        snapshot[t] = tree.parent[static_cast<std::size_t>(lo) + t];
-      std::vector<EdgeCutResult> speculative(count);
-      if (count > 1) {
-        parallel_for(count, [&](std::size_t t) {
-          speculative[t] = min_edge_cut(
-              g, {lo + static_cast<GraphVertexId>(t)}, {snapshot[t]});
-        });
-      }
-      for (GraphVertexId i = lo; i < hi; ++i) {
-        // Anytime stop, at the serial apply boundary only: vertices
-        // before i keep their exact cuts, i and beyond stay provisional.
-        // An interrupted (incomplete) flow is never applied — its witness
-        // need not separate.
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const GraphVertexId j = tree.parent[static_cast<std::size_t>(i)];
-        const std::size_t t = static_cast<std::size_t>(i - lo);
-        const EdgeCutResult cut = (count > 1 && snapshot[t] == j)
-                                      ? std::move(speculative[t])
-                                      : min_edge_cut(g, {i}, {j});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-    }
-  }
-  out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
+  run_gusfield<EdgeCutResult>(
+      n, out,
+      [&](GraphVertexId i, GraphVertexId j) {
+        return min_edge_cut(g, {i}, {j});
+      },
+      apply);
   trace.arg("applied", out.applied);
   return out;
 }
@@ -647,21 +404,13 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   ht::obs::TraceSpan trace("gomory_hu.hypergraph");
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
-  RunState* run = current_run_state();
   HypergraphGomoryHuRunResult out;
   HypergraphGomoryHuTree& tree = out.tree;
-  tree.root = 0;
-  tree.parent.assign(static_cast<std::size_t>(n), 0);
-  tree.parent[0] = -1;
-  tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
-  std::vector<char> applied(static_cast<std::size_t>(n), 0);
-  applied[0] = 1;
 
   const auto m = static_cast<std::size_t>(h.num_edges());
-  auto apply = [&](HyperVertexId i, const HyperedgeCutResult& cut) {
+  const auto apply = [&](HyperVertexId i, const HyperedgeCutResult& cut) {
     const HyperVertexId j = tree.parent[static_cast<std::size_t>(i)];
     tree.parent_cut[static_cast<std::size_t>(i)] = cut.value;
-    applied[static_cast<std::size_t>(i)] = 1;
     // Source side of the canonical minimum cut: vertices still reachable
     // from i after removing the cut hyperedges. The scratch is per-apply
     // and pool-allocated — n-1 applies reuse the same chunk.
@@ -690,9 +439,8 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
       }
     }
     HT_CHECK(!reachable[static_cast<std::size_t>(j)]);
-    for (HyperVertexId k = 1; k < n; ++k) {
-      if (!applied[static_cast<std::size_t>(k)] &&
-          tree.parent[static_cast<std::size_t>(k)] == j &&
+    for (HyperVertexId k = i + 1; k < n; ++k) {
+      if (tree.parent[static_cast<std::size_t>(k)] == j &&
           reachable[static_cast<std::size_t>(k)]) {
         tree.parent[static_cast<std::size_t>(k)] = i;
       }
@@ -705,84 +453,13 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
       tree.parent[static_cast<std::size_t>(j)] = i;
       tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
     }
-    ++out.applied;
-    if (run != nullptr) run->note_piece();
   };
-
-  bool interrupted = false;
-  if (options_.reuse == FlowReuse::kArenaAndCuts) {
-    std::vector<char> taken(static_cast<std::size_t>(n), 0);
-    std::vector<HyperVertexId> batch;
-    std::vector<HyperedgeCutResult> speculative;
-    while (out.applied + 1 < n && !interrupted) {
-      select_distinct_parent_batch(tree.parent, applied, taken, batch);
-      HT_DCHECK(!batch.empty());
-      speculative.assign(batch.size(), HyperedgeCutResult{});
-      if (batch.size() > 1) {
-        parallel_for(batch.size(), [&](std::size_t t) {
-          speculative[t] = min_hyperedge_cut(
-              h, {batch[t]},
-              {tree.parent[static_cast<std::size_t>(batch[t])]});
-        });
-      }
-      for (std::size_t t = 0; t < batch.size(); ++t) {
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const HyperVertexId i = batch[t];
-        const HyperedgeCutResult cut =
-            batch.size() > 1
-                ? std::move(speculative[t])
-                : min_hyperedge_cut(
-                      h, {i}, {tree.parent[static_cast<std::size_t>(i)]});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-      std::fill(taken.begin(), taken.end(), 0);
-    }
-  } else {
-    // Batched speculation over the pool (see the graph builder): flows
-    // for a parent snapshot run concurrently; stale ones are recomputed
-    // serially, so the applied sequence is exactly the serial Gusfield
-    // run.
-    const auto batch_size = static_cast<HyperVertexId>(
-        std::max<std::size_t>(1, ThreadPool::global().size()));
-    for (HyperVertexId lo = 1; lo < n && !interrupted; lo += batch_size) {
-      const HyperVertexId hi = std::min<HyperVertexId>(n, lo + batch_size);
-      const auto count = static_cast<std::size_t>(hi - lo);
-      std::vector<HyperVertexId> snapshot(count);
-      for (std::size_t t = 0; t < count; ++t)
-        snapshot[t] = tree.parent[static_cast<std::size_t>(lo) + t];
-      std::vector<HyperedgeCutResult> speculative(count);
-      if (count > 1) {
-        parallel_for(count, [&](std::size_t t) {
-          speculative[t] = min_hyperedge_cut(
-              h, {lo + static_cast<HyperVertexId>(t)}, {snapshot[t]});
-        });
-      }
-      for (HyperVertexId i = lo; i < hi; ++i) {
-        if (run != nullptr && !run->check().ok()) {
-          interrupted = true;
-          break;
-        }
-        const HyperVertexId j = tree.parent[static_cast<std::size_t>(i)];
-        const std::size_t t = static_cast<std::size_t>(i - lo);
-        const HyperedgeCutResult cut = (count > 1 && snapshot[t] == j)
-                                           ? std::move(speculative[t])
-                                           : min_hyperedge_cut(h, {i}, {j});
-        if (!cut.complete) {
-          interrupted = true;
-          break;
-        }
-        apply(i, cut);
-      }
-    }
-  }
-  out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
+  run_gusfield<HyperedgeCutResult>(
+      n, out,
+      [&](HyperVertexId i, HyperVertexId j) {
+        return min_hyperedge_cut(h, {i}, {j});
+      },
+      apply);
   trace.arg("applied", out.applied);
   return out;
 }

@@ -1,27 +1,19 @@
 // ht::CutEngine — the unified minimum-cut surface of the flow layer.
 //
-// One engine object, one options struct, five queries:
+// One engine object, five queries:
 //
-//   ht::CutEngine engine({.certificate = true});
+//   ht::CutEngine engine;
 //   auto cut  = engine.min_edge_cut(g, {s}, {t});     // delta_G(A,B)
 //   auto vcut = engine.min_vertex_cut(g, {s}, {t});   // gamma_G(A,B)
 //   auto hcut = engine.min_hyperedge_cut(h, {s}, {t});// delta_H(A,B)
 //   auto tree = engine.gomory_hu(g);                  // graph cut tree
 //   auto htree = engine.gomory_hu(h);                 // hypergraph cut tree
 //
-// Every knob — solver choice, certificate sparsification, Gomory–Hu
-// ordering, poll cadence — is a FlowOptions field, so benches and
-// ht::Solver can A/B them without touching call sites.
-//
-// Exactness contract: for every FlowOptions combination the engine
-// returns byte-identical results to the default configuration, except
-// FlowReuse::kArenaAndCuts, which produces a *different but equally
-// valid* Gomory–Hu tree (same min-cut values for every pair; the tree
-// shape depends on the apply order). Certificates are checked against
-// the cut they produce and fall back to the full network on rejection
-// (see flow/certificate.hpp); Dinic and push-relabel agree on the
-// canonical cut because residual reachability after any max flow yields
-// the unique inclusion-minimal min cut.
+// Exactness contract: every query answers with the canonical min cut, the
+// side reachable from the sources in the residual network of a Dinic max
+// flow (the unique inclusion-minimal min cut). reset() restores exact
+// capacities, so the answer is byte-identical whether the network came
+// from the thread's engine cache or was freshly built (FlowReuseScope).
 #pragma once
 
 #include <cstdint>
@@ -32,45 +24,6 @@
 #include "util/status.hpp"
 
 namespace ht::flow {
-
-// ---------------------------------------------------------------------------
-// Options
-
-/// Which max-flow solver answers the queries.
-enum class FlowAlgorithm : std::uint8_t {
-  kDinic = 0,        // default; exact augmenting paths, deterministic counts
-  kPushRelabel = 1,  // FIFO push-relabel with gap heuristic
-};
-
-/// How aggressively the engine reuses work across queries.
-enum class FlowReuse : std::uint8_t {
-  /// Build a fresh network per query (the pre-arena behaviour); for
-  /// equivalence tests and cold-path benches.
-  kNone = 0,
-  /// Reset-and-reuse cached engines from WorkArena (default). Still
-  /// subject to the global FlowReuseScope toggle.
-  kArena = 1,
-  /// kArena plus Gomory–Hu terminal-pair ordering: vertices are applied
-  /// in deterministic virtual batches with pairwise-distinct parents, so
-  /// every speculative flow stays valid (no stale recomputes) and the
-  /// previous cut's sides steer the batch. Produces a different — equally
-  /// valid — tree shape than kArena, which is why it is opt-in.
-  kArenaAndCuts = 2,
-};
-
-/// The one knob block for every CutEngine query.
-struct FlowOptions {
-  FlowAlgorithm algorithm = FlowAlgorithm::kDinic;
-  /// Build a Nagamochi–Ibaraki / Chekuri–Xu sparse certificate bounded by
-  /// the query's degree bound before each edge/hyperedge max flow
-  /// (ignored for vertex cuts). Answers stay byte-identical — rejected
-  /// certificates fall back to the full network.
-  bool certificate = false;
-  FlowReuse reuse = FlowReuse::kArena;
-  /// Deadline/cancel poll cadence in solver rounds; 0 inherits
-  /// RunContext::flow_check_rounds.
-  std::uint32_t poll_stride = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Results
@@ -151,11 +104,6 @@ struct HypergraphGomoryHuRunResult {
 
 class CutEngine {
  public:
-  CutEngine() = default;
-  explicit CutEngine(FlowOptions options) : options_(options) {}
-
-  const FlowOptions& options() const { return options_; }
-
   /// Minimum edge cut separating disjoint non-empty A and B.
   EdgeCutResult min_edge_cut(const ht::graph::Graph& g,
                              const std::vector<ht::graph::VertexId>& a,
@@ -163,7 +111,7 @@ class CutEngine {
 
   /// Minimum-weight vertex cut gamma_G(A,B): a vertex set X (possibly
   /// intersecting A or B) whose removal disconnects A \ X from B \ X.
-  /// A and B must be disjoint and non-empty. Certificates do not apply.
+  /// A and B must be disjoint and non-empty.
   VertexCutResult min_vertex_cut(
       const ht::graph::Graph& g, const std::vector<ht::graph::VertexId>& a,
       const std::vector<ht::graph::VertexId>& b) const;
@@ -183,9 +131,6 @@ class CutEngine {
   /// Gomory–Hu tree for hypergraph s-t cuts (Lawler-expansion oracle).
   HypergraphGomoryHuRunResult gomory_hu(
       const ht::hypergraph::Hypergraph& h) const;
-
- private:
-  FlowOptions options_;
 };
 
 // ---------------------------------------------------------------------------
@@ -210,7 +155,4 @@ bool hyperedge_cut_separates(const ht::hypergraph::Hypergraph& h,
 namespace ht {
 // The facade name promised by the public surface: ht::CutEngine.
 using flow::CutEngine;
-using flow::FlowAlgorithm;
-using flow::FlowOptions;
-using flow::FlowReuse;
 }  // namespace ht

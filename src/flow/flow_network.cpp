@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <atomic>
 
-#include "flow/dinic.hpp"
-#include "flow/push_relabel.hpp"
 #include "obs/metrics.hpp"
 #include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
-#include "util/work_arena.hpp"
 
 namespace ht::flow {
-
-// The engines that predate the arena must agree on what "infinite" means;
-// a drifting copy of this constant is exactly the bug this definition
-// removes.
-static_assert(kInfiniteCapacity == Dinic<double>::kInfinity);
-static_assert(kInfiniteCapacity == PushRelabel<double>::kInfinity);
 
 namespace {
 
@@ -70,12 +61,6 @@ std::int32_t FlowNetwork::add_pair(NodeId u, NodeId v, double cap_fwd,
   return a;
 }
 
-void FlowNetwork::register_structural(std::int32_t pair) {
-  // Builder-time pair ids; freeze() rewrites them to packed arc ids.
-  structural_fwd_.push_back(pair);
-  structural_bwd_.push_back(pair ^ 1);
-}
-
 void FlowNetwork::add_terminal_pair(std::int32_t slot, NodeId source_entry,
                                     NodeId sink_exit) {
   // Dormant at capacity 0: positive() filters them out of every traversal
@@ -116,8 +101,6 @@ void FlowNetwork::freeze() {
   }
   for (auto& a : source_arc_of_) a = pos[static_cast<std::size_t>(a)];
   for (auto& a : sink_arc_of_) a = pos[static_cast<std::size_t>(a)];
-  for (auto& a : structural_fwd_) a = pos[static_cast<std::size_t>(a)];
-  for (auto& a : structural_bwd_) a = pos[static_cast<std::size_t>(a)];
 
   build_from_ = {};
   build_to_ = {};
@@ -137,7 +120,7 @@ FlowNetwork FlowNetwork::edge_cut_network(const ht::graph::Graph& g) {
   net.init(g.num_vertices(), g.num_vertices());
   for (ht::graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& edge = g.edge(e);
-    net.register_structural(net.add_undirected(edge.u, edge.v, edge.weight));
+    net.add_undirected(edge.u, edge.v, edge.weight);
   }
   for (ht::graph::VertexId v = 0; v < g.num_vertices(); ++v)
     net.add_terminal_pair(v, v, v);
@@ -182,7 +165,7 @@ FlowNetwork FlowNetwork::hyperedge_cut_network(
   FlowNetwork net;
   net.init(n + 2 * m, n);
   for (ht::hypergraph::EdgeId e = 0; e < m; ++e) {
-    net.register_structural(net.add_arc(e_in(e), e_out(e), h.edge_weight(e)));
+    net.add_arc(e_in(e), e_out(e), h.edge_weight(e));
     for (auto v : h.pins(e)) {
       net.add_arc(v, e_in(e), kInfiniteCapacity);
       net.add_arc(e_out(e), v, kInfiniteCapacity);
@@ -277,9 +260,7 @@ double FlowNetwork::max_flow() {
   RunState* run = current_run_state();
   const std::uint64_t stride =
       run != nullptr
-          ? std::max<std::uint32_t>(1, poll_stride_ != 0
-                                           ? poll_stride_
-                                           : run->context().flow_check_rounds)
+          ? std::max<std::uint32_t>(1, run->context().flow_check_rounds)
           : 0;
   double total = 0.0;
   std::uint64_t paths = 0;
@@ -310,144 +291,6 @@ double FlowNetwork::max_flow() {
   return total;
 }
 
-double FlowNetwork::max_flow_push_relabel() {
-  HT_CHECK(source_ >= 0);
-  RunState* run = current_run_state();
-  // Discharges are far cheaper than Dinic phases; poll at a matching
-  // wall-clock cadence by scaling the configured round stride.
-  const std::uint64_t stride =
-      run != nullptr
-          ? std::max<std::uint32_t>(1, poll_stride_ != 0
-                                           ? poll_stride_
-                                           : run->context().flow_check_rounds) *
-                1024ULL
-          : 0;
-  std::uint64_t discharges = 0;
-  last_flow_complete_ = true;
-  last_augmenting_paths_ = 0;
-  const auto n = static_cast<std::size_t>(num_nodes());
-
-  // Per-solve scratch comes from the thread's piece pool: height/excess/
-  // bucket arrays live only for this call, and the pool hands them back in
-  // O(1) — a cached network carries no push-relabel footprint between
-  // queries.
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  auto height = scope.alloc_zero<std::int32_t>(n);
-  auto excess = scope.alloc_zero<double>(n);
-  auto height_count = scope.alloc_zero<std::int32_t>(2 * n + 2);
-  auto current = scope.alloc<std::int32_t>(n);
-  auto active = scope.alloc<NodeId>(n + 1);  // FIFO ring, one slot per node
-  const std::size_t ring = n + 1;
-  std::size_t ahead = 0;
-  std::size_t atail = 0;
-
-  height[static_cast<std::size_t>(source_)] = num_nodes();
-  height_count[0] = static_cast<std::int32_t>(n - 1);
-  height_count[n] = 1;
-
-  auto push = [&](std::int32_t a, double amount) {
-    const NodeId from = head_[static_cast<std::size_t>(
-        rev_[static_cast<std::size_t>(a)])];
-    cap_[static_cast<std::size_t>(a)] -= amount;
-    cap_[static_cast<std::size_t>(rev_[static_cast<std::size_t>(a)])] +=
-        amount;
-    excess[static_cast<std::size_t>(from)] -= amount;
-    excess[static_cast<std::size_t>(head_[static_cast<std::size_t>(a)])] +=
-        amount;
-  };
-  auto relabel = [&](NodeId v) {
-    const auto old_height = height[static_cast<std::size_t>(v)];
-    std::int64_t best = 2 * num_nodes();
-    const std::int32_t end = offs_[static_cast<std::size_t>(v) + 1];
-    for (std::int32_t a = offs_[static_cast<std::size_t>(v)]; a < end; ++a) {
-      if (positive(cap_[static_cast<std::size_t>(a)]))
-        best = std::min<std::int64_t>(
-            best,
-            height[static_cast<std::size_t>(
-                head_[static_cast<std::size_t>(a)])] +
-                1);
-    }
-    // Gap heuristic: if v was the last node at its height, every node
-    // above that height (below n) is cut off from the sink — lift them.
-    if (--height_count[static_cast<std::size_t>(old_height)] == 0 &&
-        old_height < num_nodes()) {
-      for (NodeId u = 0; u < num_nodes(); ++u) {
-        auto& hu = height[static_cast<std::size_t>(u)];
-        if (old_height < hu && hu < num_nodes()) {
-          --height_count[static_cast<std::size_t>(hu)];
-          hu = num_nodes() + 1;
-          ++height_count[static_cast<std::size_t>(hu)];
-        }
-      }
-    }
-    // Exact arithmetic guarantees relabel strictly raises the height; the
-    // kInfiniteCapacity terminal arcs break that in doubles (a push of c
-    // out of an excess of ~1e307 leaves the excess bit-identical, minting
-    // phantom excess downstream with no residual path back to the super-
-    // source). A node stuck at the 2n clamp would relabel forever — park
-    // it above every reachable height instead and strand its dust; the
-    // sink's excess, which is what we return, is unaffected.
-    if (best <= old_height) best = 2 * num_nodes() + 1;
-    height[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(best);
-    ++height_count[static_cast<std::size_t>(best)];
-  };
-
-  {
-    const std::int32_t end = offs_[static_cast<std::size_t>(source_) + 1];
-    for (std::int32_t a = offs_[static_cast<std::size_t>(source_)]; a < end;
-         ++a)
-      push(a, cap_[static_cast<std::size_t>(a)]);
-  }
-  for (NodeId v = 0; v < num_nodes(); ++v)
-    if (v != source_ && v != sink_ &&
-        positive(excess[static_cast<std::size_t>(v)])) {
-      active[atail] = v;
-      atail = (atail + 1) % ring;
-    }
-
-  for (std::size_t u = 0; u < n; ++u)
-    current[u] = offs_[u];
-  while (ahead != atail) {
-    const NodeId v = active[ahead];
-    ahead = (ahead + 1) % ring;
-    if (run != nullptr) {
-      ++discharges;
-      if (run->stopped() ||
-          (discharges % stride == 0 && !run->check().ok())) {
-        last_flow_complete_ = false;
-        break;
-      }
-    }
-    if (v == source_ || v == sink_) continue;
-    const std::int32_t arc_end = offs_[static_cast<std::size_t>(v) + 1];
-    while (positive(excess[static_cast<std::size_t>(v)])) {
-      if (height[static_cast<std::size_t>(v)] > 2 * num_nodes()) break;
-      std::int32_t& a = current[static_cast<std::size_t>(v)];
-      if (a == arc_end) {
-        relabel(v);
-        a = offs_[static_cast<std::size_t>(v)];
-        continue;
-      }
-      const NodeId to = head_[static_cast<std::size_t>(a)];
-      if (positive(cap_[static_cast<std::size_t>(a)]) &&
-          height[static_cast<std::size_t>(v)] ==
-              height[static_cast<std::size_t>(to)] + 1) {
-        const bool was_inactive =
-            !positive(excess[static_cast<std::size_t>(to)]);
-        push(a, std::min(excess[static_cast<std::size_t>(v)],
-                         cap_[static_cast<std::size_t>(a)]));
-        if (was_inactive && to != sink_ && to != source_) {
-          active[atail] = to;
-          atail = (atail + 1) % ring;
-        }
-      } else {
-        ++a;
-      }
-    }
-  }
-  return excess[static_cast<std::size_t>(sink_)];
-}
-
 const std::vector<char>& FlowNetwork::source_side() {
   HT_CHECK(source_ >= 0);
   std::fill(reach_.begin(), reach_.end(), 0);
@@ -475,9 +318,8 @@ std::size_t FlowNetwork::memory_bytes() const {
   };
   return bytes(offs_) + bytes(head_) + bytes(rev_) + bytes(base_cap_) +
          bytes(cap_) + bytes(source_arc_of_) + bytes(sink_arc_of_) +
-         bytes(structural_fwd_) + bytes(structural_bwd_) + bytes(level_) +
-         bytes(iter_) + bytes(bfs_q_) + bytes(reach_) + bytes(build_from_) +
-         bytes(build_to_) + bytes(build_cap_);
+         bytes(level_) + bytes(iter_) + bytes(bfs_q_) + bytes(reach_) +
+         bytes(build_from_) + bytes(build_to_) + bytes(build_cap_);
 }
 
 }  // namespace ht::flow

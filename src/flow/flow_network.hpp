@@ -27,22 +27,15 @@
 //   net.reset();                        // O(arcs) capacity restore, no alloc
 //   net.attach_source(v); ...           // flip terminal arcs to infinity
 //   net.attach_sink(u);  ...
-//   net.max_flow();                     // Dinic (or push-relabel) in place
+//   net.max_flow();                     // Dinic, in place
 //   const auto& side = net.source_side();
 //
 // Because reset() restores the exact pre-query capacities, a reused
 // network answers every query bit-identically to a freshly built one.
 //
-// The edge/hyperedge builders additionally register one *structural
-// element* per input (hyper)edge — the arc pair carrying that edge's
-// capacity. deactivate_structural(e) zeroes the pair for the current
-// query, which is how the sparse-certificate layer (flow/certificate.hpp)
-// removes provably-slack edges before a Gomory–Hu max-flow without
-// touching the shared structure.
-//
 // Engines are cached per thread in WorkArena keyed by the structure uid of
 // the underlying (hyper)graph; FlowReuseScope(false) disables the cache so
-// tests and benches can compare the fresh-build path.
+// tests can compare the fresh-build path.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +51,8 @@ namespace ht::flow {
 using NodeId = std::int32_t;
 
 /// The shared "practically infinite" capacity used for terminal and
-/// expansion arcs (single definition; Dinic/PushRelabel's kInfinity must
-/// stay equal to it — asserted in flow_network.cpp).
+/// expansion arcs (the reference Dinic the tests cross-check against uses
+/// the same value — asserted in tests/test_flow_engine.cpp).
 inline constexpr double kInfiniteCapacity =
     std::numeric_limits<double>::max() / 4;
 
@@ -76,8 +69,8 @@ enum FlowNetworkKind : std::uint32_t {
 bool flow_reuse_enabled();
 
 /// RAII switch for the engine cache; FlowReuseScope off(false) forces the
-/// pre-refactor build-per-call behaviour (used by equivalence tests and
-/// the fresh-vs-reuse bench sections).
+/// pre-refactor build-per-call behaviour (the reference path the
+/// equivalence and flow-count tests compare the cache against).
 class FlowReuseScope {
  public:
   explicit FlowReuseScope(bool enable);
@@ -94,15 +87,14 @@ class FlowNetwork {
   FlowNetwork() = default;
 
   /// Arena for edge min cuts on g: node per vertex, undirected arc per
-  /// edge, terminal slots at every vertex. Structural element e = edge e.
+  /// edge, terminal slots at every vertex.
   static FlowNetwork edge_cut_network(const ht::graph::Graph& g);
   /// Arena for vertex min cuts on g: node splitting v_in = 2v, v_out =
   /// 2v+1, capacity w(v) on the split arc; source attaches at v_in,
   /// sink at v_out (the cut may pick terminal vertices themselves).
   static FlowNetwork vertex_cut_network(const ht::graph::Graph& g);
   /// Arena for hyperedge min cuts on h: Lawler expansion with hyperedge
-  /// nodes n+2e / n+2e+1 and infinite membership arcs. Structural element
-  /// e = the e_in -> e_out capacity arc of hyperedge e.
+  /// nodes n+2e / n+2e+1 and infinite membership arcs.
   static FlowNetwork hyperedge_cut_network(const ht::hypergraph::Hypergraph& h);
 
   NodeId num_nodes() const {
@@ -115,10 +107,9 @@ class FlowNetwork {
   }
   /// Number of reset() calls served so far (0 = never queried).
   std::uint64_t queries() const { return queries_; }
-  /// Augmenting paths pushed by the most recent max_flow() (Dinic) call.
+  /// Augmenting paths pushed by the most recent max_flow() call.
   /// Deterministic per query — reset() restores exact capacities, so the
-  /// same (network, terminals) always walks the same paths. 0 after
-  /// max_flow_push_relabel(), which does not augment path-by-path.
+  /// same (network, terminals) always walks the same paths.
   std::uint64_t last_augmenting_paths() const {
     return last_augmenting_paths_;
   }
@@ -139,35 +130,8 @@ class FlowNetwork {
   /// Activates the preallocated slot -> t arc at infinite capacity.
   void attach_sink(std::int32_t slot);
 
-  /// Number of structural elements the builder registered (edges for the
-  /// edge network, hyperedges for the Lawler network, 0 for the vertex
-  /// network).
-  std::int32_t num_structural() const {
-    return static_cast<std::int32_t>(structural_fwd_.size());
-  }
-  /// Zeroes the capacity of structural element e (both directions) for
-  /// the current query only — reset() restores it. Call between reset()
-  /// and the solve; used by the certificate sparsifier.
-  void deactivate_structural(std::int32_t e) {
-    HT_DCHECK(0 <= e && e < num_structural());
-    cap_[static_cast<std::size_t>(
-        structural_fwd_[static_cast<std::size_t>(e)])] = 0.0;
-    cap_[static_cast<std::size_t>(
-        structural_bwd_[static_cast<std::size_t>(e)])] = 0.0;
-  }
-
-  /// Overrides the RunContext flow_check_rounds polling cadence for
-  /// subsequent solves on this network (0 = inherit the context value).
-  /// Set per query by CutEngine from FlowOptions::poll_stride.
-  void set_poll_stride(std::uint32_t stride) { poll_stride_ = stride; }
-
   /// Dinic max flow s -> t over the current capacities, in place.
   double max_flow();
-  /// FIFO push-relabel (gap heuristic) over the same arena — the second,
-  /// independent solver; agrees with max_flow() up to float slack and
-  /// yields the same canonical source side (residual reachability fixes
-  /// the inclusion-minimal min cut independently of the solver).
-  double max_flow_push_relabel();
 
   /// After a solve: vertices reachable from s in the residual network (the
   /// canonical inclusion-minimal min cut's source side). The reference is
@@ -186,10 +150,6 @@ class FlowNetwork {
   std::int32_t add_undirected(NodeId u, NodeId v, double cap) {
     return add_pair(u, v, cap, cap);
   }
-  /// Marks builder arc pair `pair` (a return value of add_arc /
-  /// add_undirected) as the capacity carrier of the next structural
-  /// element; freeze() translates to packed arc ids.
-  void register_structural(std::int32_t pair);
   void add_terminal_pair(std::int32_t slot, NodeId source_entry,
                          NodeId sink_exit);
   void freeze();
@@ -214,8 +174,6 @@ class FlowNetwork {
   std::vector<double> base_cap_;
   std::vector<std::int32_t> source_arc_of_;  // per terminal slot, packed ids
   std::vector<std::int32_t> sink_arc_of_;
-  std::vector<std::int32_t> structural_fwd_;  // per structural element
-  std::vector<std::int32_t> structural_bwd_;
   NodeId source_ = -1;
   NodeId sink_ = -1;
 
@@ -224,11 +182,8 @@ class FlowNetwork {
   std::uint64_t queries_ = 0;
   std::uint64_t last_augmenting_paths_ = 0;
   bool last_flow_complete_ = true;
-  std::uint32_t poll_stride_ = 0;
 
-  // Dinic scratch, reused across queries (sized once at freeze()). The
-  // per-solve push-relabel scratch lives in the thread's PieceAllocator
-  // instead — see max_flow_push_relabel().
+  // Dinic scratch, reused across queries (sized once at freeze()).
   std::vector<std::int32_t> level_;
   std::vector<std::int32_t> iter_;   // current arc index per node
   std::vector<NodeId> bfs_q_;        // flat BFS ring (each node enters once)

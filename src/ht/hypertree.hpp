@@ -9,10 +9,9 @@
 // util/status.hpp for the ok()/has_value() contract).
 //
 // The per-layer headers underneath remain includable for internal code
-// and tests, but their run-to-completion entry points are marked
-// HT_LEGACY_API; building with -DHT_DEPRECATE_LEGACY (as the facade CI
-// job does for examples/) turns any call to them into a deprecation
-// diagnostic. Migration table: DESIGN.md §9.
+// and tests; their builders (build_vertex_cut_tree, bisect_theorem1, ...)
+// run to completion unless a RunScope is bound, which is what Solver adds.
+// Migration table: DESIGN.md §9.
 #pragma once
 
 #include <string>
@@ -119,16 +118,12 @@ class Solver {
       core::CutTreeBisectionOptions options = {});
 
   /// Gusfield Gomory–Hu tree for graph edge cuts. Anytime: vertices not
-  /// applied at the stop keep pessimistic parent_cut == 0. The options
-  /// select the flow solver / certificate / reuse policy (see
-  /// flow/cut_engine.hpp); the default is byte-identical to every other
-  /// default-options run.
-  StatusOr<flow::GomoryHuRunResult> gomory_hu(const graph::Graph& g,
-                                              flow::FlowOptions options = {});
+  /// applied at the stop keep pessimistic parent_cut == 0.
+  StatusOr<flow::GomoryHuRunResult> gomory_hu(const graph::Graph& g);
 
   /// Gomory–Hu tree for hypergraph s-t cuts (Lawler-expansion oracle).
   StatusOr<flow::HypergraphGomoryHuRunResult> gomory_hu(
-      const hypergraph::Hypergraph& h, flow::FlowOptions options = {});
+      const hypergraph::Hypergraph& h);
 
   /// Runs the staged preprocessing pipeline (kernelization, and under
   /// Mode::kAggressive label-propagation contraction + cut

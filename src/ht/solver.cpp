@@ -102,19 +102,18 @@ Status Solver::build_snapshot_sharded(const std::string& hmetis_path,
   return scope.status();
 }
 
-StatusOr<flow::GomoryHuRunResult> Solver::gomory_hu(const graph::Graph& g,
-                                                    flow::FlowOptions options) {
+StatusOr<flow::GomoryHuRunResult> Solver::gomory_hu(const graph::Graph& g) {
   prepare_pool();
   RunScope scope(ctx_);
-  auto result = flow::CutEngine(options).gomory_hu(g);
+  auto result = flow::CutEngine().gomory_hu(g);
   return {scope.status(), std::move(result)};
 }
 
 StatusOr<flow::HypergraphGomoryHuRunResult> Solver::gomory_hu(
-    const hypergraph::Hypergraph& h, flow::FlowOptions options) {
+    const hypergraph::Hypergraph& h) {
   prepare_pool();
   RunScope scope(ctx_);
-  auto result = flow::CutEngine(options).gomory_hu(h);
+  auto result = flow::CutEngine().gomory_hu(h);
   return {scope.status(), std::move(result)};
 }
 

@@ -112,16 +112,4 @@ void write_hmetis_file(const Hypergraph& h, const std::string& path) {
   write_hmetis(h, os);
 }
 
-Hypergraph read_hmetis(std::istream& is) {
-  StatusOr<Hypergraph> parsed = try_read_hmetis(is);
-  HT_CHECK_MSG(parsed.ok(), parsed.status().to_string());
-  return std::move(*parsed);
-}
-
-Hypergraph read_hmetis_file(const std::string& path) {
-  StatusOr<Hypergraph> parsed = try_read_hmetis_file(path);
-  HT_CHECK_MSG(parsed.ok(), parsed.status().to_string());
-  return std::move(*parsed);
-}
-
 }  // namespace ht::hypergraph

@@ -6,8 +6,7 @@
 //   next n lines (if vertex weights): weight
 //
 // The try_* readers report malformed input as kInvalidArgument statuses
-// (never a value alongside — a half-parsed hypergraph is useless); the
-// legacy readers abort on bad input and are superseded by the facade.
+// (never a value alongside — a half-parsed hypergraph is useless).
 #pragma once
 
 #include <iosfwd>
@@ -27,9 +26,5 @@ void write_hmetis_file(const Hypergraph& h, const std::string& path);
 StatusOr<Hypergraph> try_read_hmetis(std::istream& is);
 /// File variant; unreadable paths also yield kInvalidArgument.
 StatusOr<Hypergraph> try_read_hmetis_file(const std::string& path);
-
-/// Aborting wrappers; superseded by try_read_hmetis / ht::Solver.
-HT_LEGACY_API Hypergraph read_hmetis(std::istream& is);
-HT_LEGACY_API Hypergraph read_hmetis_file(const std::string& path);
 
 }  // namespace ht::hypergraph

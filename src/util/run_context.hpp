@@ -99,7 +99,7 @@ struct RunContext {
   /// Overrides the per-algorithm options seed when set (ht::Solver).
   std::optional<std::uint64_t> seed;
   /// Deadline/cancel poll cadence inside flow augmentation loops, in
-  /// augmenting rounds (Dinic BFS phases; push-relabel discharge chunks).
+  /// augmenting rounds (Dinic BFS phases).
   std::uint32_t flow_check_rounds = 4;
   /// Chrome-trace output path (from HT_TRACE in FromEnv()); empty = off.
   std::string trace_path;

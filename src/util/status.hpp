@@ -22,14 +22,6 @@
 
 #include "util/check.hpp"
 
-// Marks a legacy entry point superseded by the ht/hypertree.hpp facade.
-// Unconditional since the CutEngine API redesign: every internal caller,
-// test, and bench has been migrated, so the old opt-in HT_DEPRECATE_LEGACY
-// toggle is gone — deprecation is the only mode. The examples build still
-// promotes these warnings to errors (facade lockdown).
-#define HT_LEGACY_API \
-  [[deprecated("superseded by the ht::Solver facade in ht/hypertree.hpp")]]
-
 namespace ht {
 
 enum class StatusCode : std::uint8_t {

@@ -112,8 +112,8 @@ class WorkArena {
 
   // --- per-piece scratch pool ----------------------------------------------
 
-  /// The thread's bump/pool allocator for per-piece scratch (Dinic queues,
-  /// Gomory–Hu side masks, certificate work lists). Open a
+  /// The thread's bump/pool allocator for per-piece scratch (min-cut
+  /// terminal marks, Gomory–Hu side masks). Open a
   /// PieceAllocator::Scope on it around each piece; see
   /// util/piece_allocator.hpp for the LIFO discipline.
   PieceAllocator& pieces() { return pieces_; }

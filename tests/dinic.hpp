@@ -1,10 +1,11 @@
-// Dinic max-flow on a directed network, templated on capacity type.
+// Standalone Dinic max-flow on a directed network, templated on capacity
+// type: the reference the Dinic.* and FlowEngine.* tests cross-check the
+// library's one solver (FlowNetwork::max_flow) against. It shares no code
+// with the FlowNetwork arena.
 //
-// Used throughout the library with Cap = double: the clique expansion of
-// Lemma 1 produces capacities 1/(|h|-1), so integral flow is not available.
-// All comparisons go through a relative epsilon; every cut this solver
-// produces is re-evaluated combinatorially by its caller, so floating-point
-// slack cannot corrupt reported cut values.
+// Cap = double matches the library: the clique expansion of Lemma 1
+// produces capacities 1/(|h|-1), so integral flow is not available. All
+// comparisons go through a relative epsilon.
 #pragma once
 
 #include <cstdint>

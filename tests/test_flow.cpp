@@ -7,7 +7,7 @@
 #include <limits>
 #include <vector>
 
-#include "flow/dinic.hpp"
+#include "dinic.hpp"
 #include "flow/cut_engine.hpp"
 #include "flow/flow_network.hpp"
 #include "graph/generators.hpp"

@@ -20,9 +20,9 @@
 #include "cuttree/decomposition_tree.hpp"
 #include "cuttree/tree.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
-#include "flow/dinic.hpp"
-#include "flow/flow_network.hpp"
+#include "dinic.hpp"
 #include "flow/cut_engine.hpp"
+#include "flow/flow_network.hpp"
 #include "graph/generators.hpp"
 #include "graph/subset_view.hpp"
 #include "hypergraph/generators.hpp"
@@ -173,7 +173,12 @@ TEST(FlowEngine, ReuseCountersShowReuse) {
   EXPECT_GT(counters.peak_arena_bytes(), 0u);
 }
 
-TEST(FlowEngine, PushRelabelAgreesWithDinicOnArena) {
+// The reference solver's terminal arcs below carry the arena's infinity;
+// the two must agree on what "infinite" means.
+static_assert(ht::flow::kInfiniteCapacity ==
+              ht::flow::Dinic<double>::kInfinity);
+
+TEST(FlowEngine, ArenaDinicAgreesWithReferenceDinic) {
   ht::Rng rng(56);
   for (int round = 0; round < 8; ++round) {
     const auto n = static_cast<std::int32_t>(12 + rng.next_below(24));
@@ -187,11 +192,6 @@ TEST(FlowEngine, PushRelabelAgreesWithDinicOnArena) {
     net.attach_source(s);
     net.attach_sink(t);
     const double dinic_flow = net.max_flow();
-    net.reset();
-    net.attach_source(s);
-    net.attach_sink(t);
-    const double pr_flow = net.max_flow_push_relabel();
-    EXPECT_NEAR(dinic_flow, pr_flow, 1e-6);
     // Cross-check against the standalone Dinic on the same instance.
     ht::flow::Dinic<double> ref(n + 2);
     for (const auto& e : g.edges()) ref.add_undirected(e.u, e.v, e.weight);
@@ -405,137 +405,38 @@ TEST(FlowEngineGolden, GoldensHoldWithReuseDisabled) {
 }
 
 
-TEST(FlowEngineGolden, GoldensHoldUnderCertificateAndThreadCount) {
-  // The certificate path must not move a byte: rejected sparsifications
-  // fall back to the full network, accepted ones provably return the
-  // canonical cut. Checked at 1 and 4 threads, certificate on and off —
-  // all four combinations must reproduce the pre-refactor hashes.
+TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
+  // Batched Gomory–Hu speculation must not move a byte: the 1- and
+  // 4-thread pools reproduce the pre-refactor hashes.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ht::ThreadPool::reset_global(threads);
-    for (const bool certificate : {false, true}) {
-      ht::FlowOptions options;
-      options.certificate = certificate;
-      {
-        ht::Rng rng(1313);
-        const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
-        const auto t = ht::CutEngine(options).gomory_hu(g).tree;
-        EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
-                  "7d301c7c0431f7f7")
-            << "threads=" << threads << " certificate=" << certificate;
-      }
-      {
-        ht::Rng rng(99);
-        const auto h = ht::hypergraph::random_uniform(36, 70, 3, rng);
-        const auto t = ht::CutEngine(options).gomory_hu(h).tree;
-        EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
-                  "89aacea13cfa79eb")
-            << "threads=" << threads << " certificate=" << certificate;
-      }
+    {
+      ht::Rng rng(1313);
+      const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
+      const auto t = ht::CutEngine().gomory_hu(g).tree;
+      EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
+                "7d301c7c0431f7f7")
+          << "threads=" << threads;
+    }
+    {
+      ht::Rng rng(99);
+      const auto h = ht::hypergraph::random_uniform(36, 70, 3, rng);
+      const auto t = ht::CutEngine().gomory_hu(h).tree;
+      EXPECT_EQ(hash_hex(gomory_hu_string(t.parent, t.parent_cut)),
+                "89aacea13cfa79eb")
+          << "threads=" << threads;
     }
   }
   ht::ThreadPool::reset_global();
-}
-
-TEST(FlowEngine, CertificateMatchesFullSolveOnPointQueries) {
-  ht::Rng rng(61);
-  const ht::CutEngine plain;
-  const ht::CutEngine certified({.certificate = true});
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(24 + rng.next_below(40));
-    const auto g = ht::graph::gnp_connected(n, 5.0 / n, rng);
-    for (int q = 0; q < 5; ++q) {
-      std::vector<char> taken(static_cast<std::size_t>(n), 0);
-      const auto a = random_terminals(rng, n, taken);
-      const auto b = random_terminals(rng, n, taken);
-      if (a.empty() || b.empty()) continue;
-      const auto full = plain.min_edge_cut(g, a, b);
-      const auto sparse = certified.min_edge_cut(g, a, b);
-      EXPECT_EQ(full.value, sparse.value);
-      EXPECT_EQ(full.cut_edges, sparse.cut_edges);
-      EXPECT_EQ(full.source_side, sparse.source_side);
-    }
-  }
-  for (int round = 0; round < 8; ++round) {
-    const auto n = static_cast<std::int32_t>(16 + rng.next_below(24));
-    const auto h = ht::hypergraph::random_uniform(n, 2 * n, 3, rng);
-    for (int q = 0; q < 5; ++q) {
-      std::vector<char> taken(static_cast<std::size_t>(n), 0);
-      const auto a = random_terminals(rng, n, taken);
-      const auto b = random_terminals(rng, n, taken);
-      if (a.empty() || b.empty()) continue;
-      const auto full = plain.min_hyperedge_cut(h, a, b);
-      const auto sparse = certified.min_hyperedge_cut(h, a, b);
-      EXPECT_EQ(full.value, sparse.value);
-      EXPECT_EQ(full.cut_edges, sparse.cut_edges);
-    }
-  }
-}
-
-TEST(FlowEngine, CertificateActuallyDropsEdges) {
-  // On a dense-ish graph the degree bound is far below most CAPFOREST
-  // values, so the sparsifier must kick in (queries and dropped edges
-  // both counted), and the answers above already pinned correctness.
-  auto& queries = ht::obs::MetricsRegistry::global().counter(
-      "flow.certificate_queries");
-  auto& dropped = ht::obs::MetricsRegistry::global().counter(
-      "flow.certificate_dropped_edges");
-  const auto queries_before = queries.value();
-  const auto dropped_before = dropped.value();
-  ht::Rng rng(62);
-  const auto g = ht::graph::gnp_connected(80, 16.0 / 80, rng);
-  const ht::CutEngine certified({.certificate = true});
-  (void)certified.gomory_hu(g);
-  EXPECT_GT(queries.value(), queries_before);
-  EXPECT_GT(dropped.value(), dropped_before);
-}
-
-TEST(FlowEngine, ArenaAndCutsTreeIsDeterministicAndValid) {
-  // FlowReuse::kArenaAndCuts reorders the Gomory–Hu applies (distinct-
-  // parent virtual batches), so the tree SHAPE may differ from the
-  // default — but it must (a) be identical for every thread count and
-  // (b) encode exactly the same min-cut value for every vertex pair.
-  ht::Rng rng(63);
-  const auto g = ht::graph::gnp_connected(48, 6.0 / 48, rng);
-  ht::FlowOptions options;
-  options.reuse = ht::FlowReuse::kArenaAndCuts;
-  ht::ThreadPool::reset_global(1);
-  const auto one = ht::CutEngine(options).gomory_hu(g).tree;
-  ht::ThreadPool::reset_global(4);
-  const auto four = ht::CutEngine(options).gomory_hu(g).tree;
-  ht::ThreadPool::reset_global();
-  EXPECT_EQ(gomory_hu_string(one.parent, one.parent_cut),
-            gomory_hu_string(four.parent, four.parent_cut));
-  const auto reference = ht::CutEngine().gomory_hu(g).tree;
-  for (ht::graph::VertexId s = 0; s < g.num_vertices(); ++s)
-    for (ht::graph::VertexId t = s + 1; t < g.num_vertices(); ++t)
-      EXPECT_NEAR(one.min_cut(s, t), reference.min_cut(s, t), 1e-9)
-          << "pair (" << s << ", " << t << ")";
-
-  ht::Rng hrng(64);
-  const auto h = ht::hypergraph::random_uniform(28, 56, 3, hrng);
-  ht::ThreadPool::reset_global(1);
-  const auto hone = ht::CutEngine(options).gomory_hu(h).tree;
-  ht::ThreadPool::reset_global(4);
-  const auto hfour = ht::CutEngine(options).gomory_hu(h).tree;
-  ht::ThreadPool::reset_global();
-  EXPECT_EQ(gomory_hu_string(hone.parent, hone.parent_cut),
-            gomory_hu_string(hfour.parent, hfour.parent_cut));
-  const auto href = ht::CutEngine().gomory_hu(h).tree;
-  for (ht::hypergraph::VertexId s = 0; s < h.num_vertices(); ++s)
-    for (ht::hypergraph::VertexId t = s + 1; t < h.num_vertices(); ++t)
-      EXPECT_NEAR(hone.min_cut(s, t), href.min_cut(s, t), 1e-9)
-          << "pair (" << s << ", " << t << ")";
 }
 
 TEST(FlowEngine, PoolAllocatorMetricsRegister) {
-  // Push-relabel per-solve scratch and the per-query terminal marks come
-  // from the thread's PieceAllocator; after a few queries the pool gauge
-  // and the reuse counter must both be live.
+  // The per-query terminal marks come from the thread's PieceAllocator;
+  // after a few queries the pool gauge and the reuse counter must both be
+  // live.
   ht::Rng rng(65);
   const auto g = ht::graph::gnp_connected(40, 5.0 / 40, rng);
-  ht::FlowOptions options;
-  options.algorithm = ht::FlowAlgorithm::kPushRelabel;
-  const ht::CutEngine engine(options);
+  const ht::CutEngine engine;
   auto& reuse = ht::obs::MetricsRegistry::global().counter("flow.pool_reuse");
   const auto reuse_before = reuse.value();
   for (int q = 0; q < 4; ++q)
@@ -595,6 +496,74 @@ TEST(SubsetView, SingletonSubsetsKeepTheVertexAndDropAllEdges) {
     EXPECT_EQ(sub.hypergraph.num_vertices(), 1);
     EXPECT_EQ(sub.hypergraph.num_edges(), 0);  // < 2 surviving pins
   }
+}
+
+// --- flow-work gate -------------------------------------------------------
+// Max-flow calls, network builds and augmenting paths of three cut-tree
+// workloads, pinned on a one-thread pool: with more threads the Gomory–Hu
+// builders speculate a batch of flows and recompute the stale ones, so
+// the flow count follows the pool size. Everything else about these
+// counts is deterministic (fixed seeds, fixed arc order, reset() restores
+// exact capacities), so any change is an algorithmic change; update the
+// expectations deliberately, in review.
+
+struct FlowWork {
+  std::uint64_t flows = 0;
+  std::uint64_t builds = 0;
+  std::uint64_t augmenting_paths = 0;
+  bool operator==(const FlowWork&) const = default;
+};
+
+void PrintTo(const FlowWork& w, std::ostream* os) {
+  *os << "{flows=" << w.flows << ", builds=" << w.builds
+      << ", augmenting_paths=" << w.augmenting_paths << "}";
+}
+
+template <typename Fn>
+FlowWork count_flow_work(Fn&& workload) {
+  ht::WorkArena::local().clear_cache();
+  auto& counters = ht::PerfCounters::global();
+  counters.reset();  // the whole registry, flow.augmenting_paths included
+  workload();
+  return {counters.max_flow_calls(), counters.flow_builds(),
+          ht::obs::MetricsRegistry::global()
+              .histogram("flow.augmenting_paths")
+              .sum()};
+}
+
+TEST(FlowEngineCounts, CutTreeWorkloadsReproduceExactly) {
+  ht::ThreadPool::reset_global(1);
+  ht::Rng gh_rng(1313);
+  const auto g = ht::graph::gnp_connected(160, 6.0 / 160, gh_rng);
+  ht::Rng vct_rng(2024);
+  const auto vct_graph = ht::graph::gnp_connected(140, 5.0 / 140, vct_rng);
+  ht::cuttree::VertexCutTreeOptions vct_options;
+  vct_options.threshold_override = 0.75;  // force splits all the way down
+  ht::Rng h_rng(99);
+  const auto h = ht::hypergraph::random_uniform(80, 160, 3, h_rng);
+
+  const auto gomory_hu = [&] { (void)ht::CutEngine().gomory_hu(g); };
+  const auto vertex_cut_tree = [&] {
+    (void)ht::cuttree::build_vertex_cut_tree(vct_graph, vct_options);
+  };
+  const auto hypergraph_gomory_hu = [&] {
+    (void)ht::CutEngine().gomory_hu(h);
+  };
+
+  // The engine cache answers all of a Gomory–Hu build's flows from one
+  // network.
+  EXPECT_EQ(count_flow_work(gomory_hu), (FlowWork{159, 1, 961}));
+  EXPECT_EQ(count_flow_work(vertex_cut_tree), (FlowWork{72, 9, 390}));
+  EXPECT_EQ(count_flow_work(hypergraph_gomory_hu), (FlowWork{79, 1, 470}));
+  {
+    // The fresh-build path builds a network per flow and walks the same
+    // augmenting paths.
+    FlowReuseScope off(false);
+    EXPECT_EQ(count_flow_work(gomory_hu), (FlowWork{159, 159, 961}));
+    EXPECT_EQ(count_flow_work(vertex_cut_tree), (FlowWork{72, 72, 390}));
+    EXPECT_EQ(count_flow_work(hypergraph_gomory_hu), (FlowWork{79, 79, 470}));
+  }
+  ht::ThreadPool::reset_global();
 }
 
 }  // namespace

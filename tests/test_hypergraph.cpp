@@ -39,11 +39,11 @@ TEST(Hypergraph, PinsDeduplicatedAndSorted) {
 }
 
 // Repeat finalize() must be a cheap no-op, not a rebuild: the uid (which
-// keys WorkArena-cached flow networks and certificates) must not be
-// reassigned, and the CSR storage must not be touched — spans handed out
-// before the second call stay valid. The sharded build and the serving
-// layer both re-finalize defensively, so a regressing rebuild here would
-// silently invalidate every cached engine.
+// keys WorkArena-cached flow networks) must not be reassigned, and the
+// CSR storage must not be touched — spans handed out before the second
+// call stay valid. The sharded build and the serving layer both
+// re-finalize defensively, so a regressing rebuild here would silently
+// invalidate every cached engine.
 TEST(Hypergraph, RepeatFinalizeIsNoOp) {
   Hypergraph h(4);
   h.add_edge({0, 1, 2}, 2.0);

@@ -3,12 +3,10 @@
 
 Usage:
     bench_diff.py CURRENT [BASELINE]          # serve mode (default)
-    bench_diff.py --flow CURRENT [BASELINE]   # flow-engine mode
     bench_diff.py --shard CURRENT [BASELINE]  # sharded-build mode
 
-BASELINE defaults to bench/baselines/BENCH_serve_baseline.json (serve),
-bench/baselines/BENCH_flow_engine_baseline.json (flow), or
-bench/baselines/BENCH_shard_baseline.json (shard), relative to the
+BASELINE defaults to bench/baselines/BENCH_serve_baseline.json (serve)
+or bench/baselines/BENCH_shard_baseline.json (shard), relative to the
 repository root (this script's parent directory's parent).
 
 Two tiers, because CI runners are noisy but not arbitrarily noisy:
@@ -19,18 +17,6 @@ serve mode
   hard (``::error``, exit 1)     p99 > 4x baseline, qps < 0.2x baseline,
                                  hot_swap.dropped != 0, or the per-kind
                                  latency_hist quantiles missing/zero
-
-flow mode
-  soft (``::warning``, exit 0)   wall_ms > 2x baseline,
-                                 solve p99 > 4x baseline,
-                                 trace overhead >= 2%
-  hard (``::error``, exit 1)     wall_ms > 4x baseline,
-                                 solve p99 > 10x baseline, any
-                                 deterministic counter (max_flow_calls,
-                                 flow_builds, augmenting_paths) above
-                                 baseline, reuse mode saving < 1.5x
-                                 builds vs fresh, or the certificate
-                                 dropping zero edges on the dense graph
 
 shard mode
   soft (``::warning``, exit 0)   either wall_ms > 2x baseline
@@ -46,14 +32,10 @@ shard mode
 The hard structural checks (counters, drops, quantiles present) never
 depend on runner speed, so they gate unconditionally; the timing walls
 only catch order-of-magnitude regressions that no runner jitter
-explains. Flow counters are exactly reproducible (fixed seeds, fixed
-traversal order), so *any* increase is a real algorithmic regression.
-The shard bench's byte counters are equally deterministic (fixed
-instance, serial FIFO driver), so they gate the same way.
-The flow p99 comes from a 65-bucket histogram over few samples, hence
-its wider 4x/10x tiers. Baselines are refreshed deliberately,
-in-review, by copying a fresh build JSON over the file in
-bench/baselines/.
+explains. The shard bench's byte counters are exactly reproducible
+(fixed instance, shards built one at a time in FIFO order), so *any*
+increase is a real regression. Baselines are refreshed deliberately, in-review, by copying
+a fresh build JSON over the file in bench/baselines/.
 """
 
 import json
@@ -73,10 +55,7 @@ P99_WARN, P99_FAIL = 2.0, 4.0  # x baseline
 QPS_WARN, QPS_FAIL = 0.5, 0.2  # x baseline
 OVERHEAD_WARN_PCT = 2.0
 
-FLOW_WALL_WARN, FLOW_WALL_FAIL = 2.0, 4.0
-FLOW_P99_WARN, FLOW_P99_FAIL = 4.0, 10.0
-FLOW_COUNTERS = ("max_flow_calls", "flow_builds", "augmenting_paths")
-FLOW_BUILD_SAVINGS = 1.5  # fresh/reuse builds, the headline claim
+WALL_WARN, WALL_FAIL = 2.0, 4.0  # x baseline
 
 failures = []
 
@@ -150,127 +129,6 @@ def diff_serve(current: dict, baseline: dict) -> None:
             print(line + " (OK)")
 
 
-def diff_flow(current: dict, baseline: dict) -> None:
-    for section, modes in baseline.items():
-        # certificate_scan is a flat A/B section (no per-mode counters);
-        # its one deterministic invariant is checked below on the
-        # current side, so a refreshed baseline containing it must not
-        # fall into the mode loop.
-        if (section.startswith("_") or section == "trace_overhead"
-                or section == "certificate_scan"):
-            continue
-        if section not in current:
-            fail("flow section missing",
-                 f"section {section!r} absent from BENCH_flow_engine.json")
-            continue
-        for mode_name, then in modes.items():
-            now = current[section].get(mode_name)
-            tag = f"{section}/{mode_name}"
-            if now is None:
-                fail("flow mode missing", f"{tag} absent from current run")
-                continue
-
-            # Deterministic counters: fixed seeds + fixed traversal order
-            # mean these reproduce exactly; any increase is algorithmic.
-            for key in FLOW_COUNTERS:
-                c_now, c_then = now[key], then[key]
-                line = f"{tag}: {key} {c_now} vs baseline {c_then}"
-                if c_now > c_then:
-                    fail("flow counter regression", f"{line} (hard)")
-                elif c_now < c_then:
-                    print(line + " (improved; refresh the baseline)")
-                else:
-                    print(line + " (OK)")
-
-            w_now, w_then = now["wall_ms"], then["wall_ms"]
-            speedup = w_then / w_now if w_now > 0 else float("inf")
-            line = (f"{tag}: wall {w_now:.3f}ms vs baseline {w_then:.3f}ms "
-                    f"({speedup:.2f}x baseline speed)")
-            if w_now > FLOW_WALL_FAIL * w_then:
-                fail("flow wall regression",
-                     f"{line} (> {FLOW_WALL_FAIL:.0f}x, hard)")
-            elif w_now > FLOW_WALL_WARN * w_then:
-                warn("flow wall regression",
-                     f"{line} (> {FLOW_WALL_WARN:.0f}x, soft)")
-            else:
-                print(line + " (OK)")
-
-            p_now, p_then = now["solve_p99_us"], then["solve_p99_us"]
-            line = (f"{tag}: flow p99 {p_now:.1f}us vs baseline "
-                    f"{p_then:.1f}us")
-            if p_then > 0 and p_now > FLOW_P99_FAIL * p_then:
-                fail("flow p99 regression",
-                     f"{line} (> {FLOW_P99_FAIL:.0f}x, hard)")
-            elif p_then > 0 and p_now > FLOW_P99_WARN * p_then:
-                warn("flow p99 regression",
-                     f"{line} (> {FLOW_P99_WARN:.0f}x, soft)")
-            else:
-                print(line + " (OK)")
-
-    # The headline reuse claim: the engine cache must save >= 1.5x
-    # network builds on the graph cut-tree sections. Counter-based, so
-    # exact.
-    for section in ("gomory_hu", "vertex_cut_tree"):
-        modes = current.get(section, {})
-        reuse, fresh = modes.get("reuse"), modes.get("fresh")
-        if not reuse or not fresh:
-            continue
-        ratio = (fresh["flow_builds"] / reuse["flow_builds"]
-                 if reuse["flow_builds"] else float("inf"))
-        line = (f"{section}: builds fresh/reuse = {fresh['flow_builds']}/"
-                f"{reuse['flow_builds']} = {ratio:.1f}x")
-        if ratio < FLOW_BUILD_SAVINGS:
-            fail("flow reuse savings",
-                 f"{line} (< {FLOW_BUILD_SAVINGS}x, hard)")
-        else:
-            print(line + " (OK)")
-
-    # The certificate must actually sparsify the dense graph section —
-    # dropping zero edges means the threshold wiring broke (the counter
-    # is deterministic).
-    cert = current.get("certificate_gomory_hu", {}).get("on")
-    if cert is None:
-        fail("flow certificate missing",
-             "certificate_gomory_hu/on absent from current run")
-    elif cert.get("certificate_dropped", 0) <= 0:
-        fail("flow certificate inert",
-             "certificate_gomory_hu/on dropped 0 edges (must sparsify)")
-    else:
-        print(f"certificate_gomory_hu/on: dropped "
-              f"{cert['certificate_dropped']} edges, "
-              f"{cert.get('certificate_rejects', 0)} rejects (OK)")
-
-    # The SIMD/unrolled certificate threshold scan must agree with the
-    # scalar reference element-for-element; the bench records the
-    # disagreement count, which is deterministic and must be zero.
-    scan = current.get("certificate_scan")
-    if scan is None:
-        fail("certificate scan missing",
-             "certificate_scan section absent from BENCH_flow_engine.json")
-    elif scan.get("drift", -1) != 0:
-        fail("certificate scan drift",
-             f"certificate_scan drift {scan.get('drift')} (must be 0: the "
-             "unrolled and scalar selections diverged)")
-    else:
-        print(f"certificate_scan: {scan['edges']} edges, drift=0, "
-              f"scalar {scan['scalar_ms']:.3f}ms vs unrolled "
-              f"{scan['fast_ms']:.3f}ms (OK)")
-
-    overhead = current.get("trace_overhead")
-    if overhead is None:
-        fail("trace overhead missing",
-             "trace_overhead section absent from BENCH_flow_engine.json")
-    else:
-        pct = overhead["overhead_pct"]
-        line = (f"trace overhead: {overhead['ns_per_span']:.2f} ns/span, "
-                f"{pct:.4f}% of workload")
-        if pct >= OVERHEAD_WARN_PCT:
-            warn("trace overhead",
-                 f"{line} (>= {OVERHEAD_WARN_PCT}% soft gate)")
-        else:
-            print(line + " (OK)")
-
-
 def diff_shard(current: dict, baseline: dict) -> None:
     # The bench already evaluated its own hard gates (completion,
     # residency under budget, budget <= 1/4 in-memory RSS, exact gmin
@@ -332,32 +190,25 @@ def diff_shard(current: dict, baseline: dict) -> None:
         w_then = baseline[section]["wall_ms"]
         line = (f"{section}: wall {w_now:.3f}ms vs baseline "
                 f"{w_then:.3f}ms")
-        if w_now > FLOW_WALL_FAIL * w_then:
+        if w_now > WALL_FAIL * w_then:
             fail("shard wall regression",
-                 f"{line} (> {FLOW_WALL_FAIL:.0f}x, hard)")
-        elif w_now > FLOW_WALL_WARN * w_then:
+                 f"{line} (> {WALL_FAIL:.0f}x, hard)")
+        elif w_now > WALL_WARN * w_then:
             warn("shard wall regression",
-                 f"{line} (> {FLOW_WALL_WARN:.0f}x, soft)")
+                 f"{line} (> {WALL_WARN:.0f}x, soft)")
         else:
             print(line + " (OK)")
 
 
 def main(argv: list) -> int:
     argv = list(argv)
-    flow_mode = "--flow" in argv
-    if flow_mode:
-        argv.remove("--flow")
     shard_mode = "--shard" in argv
     if shard_mode:
         argv.remove("--shard")
-    if flow_mode and shard_mode:
-        print(__doc__, file=sys.stderr)
-        return 2
     if len(argv) < 2 or len(argv) > 3:
         print(__doc__, file=sys.stderr)
         return 2
-    default_name = ("BENCH_flow_engine_baseline.json" if flow_mode
-                    else "BENCH_shard_baseline.json" if shard_mode
+    default_name = ("BENCH_shard_baseline.json" if shard_mode
                     else "BENCH_serve_baseline.json")
     current_path = pathlib.Path(argv[1])
     baseline_path = (
@@ -366,9 +217,7 @@ def main(argv: list) -> int:
         / "bench" / "baselines" / default_name)
     current = json.loads(current_path.read_text())
     baseline = json.loads(baseline_path.read_text())
-    if flow_mode:
-        diff_flow(current, baseline)
-    elif shard_mode:
+    if shard_mode:
         diff_shard(current, baseline)
     else:
         diff_serve(current, baseline)
