@@ -10,7 +10,6 @@
 #include "obs/trace.hpp"
 #include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
-#include "util/thread_pool.hpp"
 #include "util/work_arena.hpp"
 
 namespace ht::flow {
@@ -99,10 +98,10 @@ EdgeCutResult CutEngine::min_edge_cut(
     const Graph& g, const std::vector<GraphVertexId>& a,
     const std::vector<GraphVertexId>& b) const {
   HT_CHECK(g.finalized());
-  // Span args stay schedule-independent: cut value and augmenting-path
-  // count are deterministic (reset() restores exact capacities), while
-  // whether the network was reused is thread-affinity-dependent and is
-  // reported through metrics only.
+  // Span args stay schedule-independent: cut value, augmenting-path and
+  // search-node counts are deterministic (reset() restores exact
+  // capacities), while whether the network was reused is
+  // thread-affinity-dependent and is reported through metrics only.
   ht::obs::TraceSpan span("flow.min_edge_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
@@ -137,6 +136,7 @@ EdgeCutResult CutEngine::min_edge_cut(
   }
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
+  span.arg("search_nodes", net.last_search_nodes());
   return out;
 }
 
@@ -176,6 +176,7 @@ VertexCutResult CutEngine::min_vertex_cut(
   }
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
+  span.arg("search_nodes", net.last_search_nodes());
   HT_DCHECK(!out.complete || vertex_cut_separates(g, out.cut_vertices, a, b));
   return out;
 }
@@ -222,6 +223,7 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   }
   span.arg("cut_value", out.value);
   span.arg("augmenting_paths", net.last_augmenting_paths());
+  span.arg("search_nodes", net.last_search_nodes());
   HT_DCHECK(!out.complete || hyperedge_cut_separates(h, out.cut_edges, a, b));
   return out;
 }
@@ -293,15 +295,15 @@ namespace {
 /// out.tree over n vertices rooted at 0 and fills out.applied and
 /// out.status.
 ///
-/// The (i, parent[i]) max-flow subproblems of a batch are independent
-/// given a parent snapshot, so `solve(i, j)` runs them over the pool; a
-/// cut is applied only when i's parent is unchanged at apply time,
-/// otherwise it is recomputed against the live parent. The applied
-/// sequence is therefore exactly the serial Gusfield run — identical for
-/// every thread count and batch size. `apply(i, cut)` is the builder's own
+/// Each vertex i in ascending order solves `solve(i, parent[i])` against
+/// the live parent and applies it with `apply(i, cut)`, the builder's own
 /// step: it records the cut as i's parent cut and re-hangs the vertices
-/// after i.
-template <typename Cut, typename Result, typename SolveFn, typename ApplyFn>
+/// after i. The loop is serial on purpose. Inside a snapshot build the
+/// pool's workers are busy with the other two trees, so flows solved
+/// ahead of their apply against a stale parent would run on this task's
+/// own thread and sit on the build's critical path; serial, a complete
+/// build runs exactly n-1 flows at every pool size.
+template <typename Result, typename SolveFn, typename ApplyFn>
 void run_gusfield(std::int32_t n, Result& out, const SolveFn& solve,
                   const ApplyFn& apply) {
   auto& parent = out.tree.parent;
@@ -310,42 +312,23 @@ void run_gusfield(std::int32_t n, Result& out, const SolveFn& solve,
   parent[0] = -1;
   out.tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
   RunState* run = current_run_state();
-  const auto batch_size = static_cast<std::int32_t>(
-      std::max<std::size_t>(1, ThreadPool::global().size()));
   bool interrupted = false;
-  for (std::int32_t lo = 1; lo < n && !interrupted; lo += batch_size) {
-    const std::int32_t hi = std::min(n, lo + batch_size);
-    const auto count = static_cast<std::size_t>(hi - lo);
-    const std::vector<std::int32_t> snapshot(parent.begin() + lo,
-                                             parent.begin() + hi);
-    std::vector<Cut> speculative(count);
-    if (count > 1) {
-      parallel_for(count, [&](std::size_t t) {
-        speculative[t] = solve(lo + static_cast<std::int32_t>(t), snapshot[t]);
-      });
+  for (std::int32_t i = 1; i < n; ++i) {
+    // Anytime stop, at the apply boundary only: vertices before i keep
+    // their exact cuts, i and beyond stay provisional. An interrupted
+    // (incomplete) flow is never applied — its witness need not separate.
+    if (run != nullptr && !run->check().ok()) {
+      interrupted = true;
+      break;
     }
-    for (std::int32_t i = lo; i < hi; ++i) {
-      // Anytime stop, at the serial apply boundary only: vertices before i
-      // keep their exact cuts, i and beyond stay provisional. An
-      // interrupted (incomplete) flow is never applied — its witness need
-      // not separate.
-      if (run != nullptr && !run->check().ok()) {
-        interrupted = true;
-        break;
-      }
-      const std::int32_t j = parent[static_cast<std::size_t>(i)];
-      const auto t = static_cast<std::size_t>(i - lo);
-      const Cut cut = (count > 1 && snapshot[t] == j)
-                          ? std::move(speculative[t])
-                          : solve(i, j);
-      if (!cut.complete) {
-        interrupted = true;
-        break;
-      }
-      apply(i, cut);
-      ++out.applied;
-      if (run != nullptr) run->note_piece();
+    const auto cut = solve(i, parent[static_cast<std::size_t>(i)]);
+    if (!cut.complete) {
+      interrupted = true;
+      break;
     }
+    apply(i, cut);
+    ++out.applied;
+    if (run != nullptr) run->note_piece();
   }
   out.status = interrupted && run != nullptr ? run->status() : Status::Ok();
 }
@@ -356,9 +339,8 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   HT_CHECK(g.finalized());
   const GraphVertexId n = g.num_vertices();
   HT_CHECK(n >= 2);
-  // One span per builder run. No per-batch spans: batch sizes can follow
-  // the pool size, so they would break thread-count-invariant traces; the
-  // nested flow.min_edge_cut spans carry the per-flow detail.
+  // One span per builder run; the nested flow.min_edge_cut spans, one per
+  // Gusfield flow, carry the per-flow detail.
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
   GomoryHuRunResult out;
@@ -386,7 +368,7 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
       tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
     }
   };
-  run_gusfield<EdgeCutResult>(
+  run_gusfield(
       n, out,
       [&](GraphVertexId i, GraphVertexId j) {
         return min_edge_cut(g, {i}, {j});
@@ -400,7 +382,7 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   HT_CHECK(h.finalized());
   const HyperVertexId n = h.num_vertices();
   HT_CHECK(n >= 2);
-  // One span per builder run; no per-batch spans (see the graph builder).
+  // One span per builder run, one nested flow span per Gusfield flow.
   ht::obs::TraceSpan trace("gomory_hu.hypergraph");
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
@@ -454,7 +436,7 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
       tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
     }
   };
-  run_gusfield<HyperedgeCutResult>(
+  run_gusfield(
       n, out,
       [&](HyperVertexId i, HyperVertexId j) {
         return min_hyperedge_cut(h, {i}, {j});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/perf_counters.hpp"
@@ -18,6 +19,13 @@ std::atomic<bool> g_flow_reuse_enabled{true};
 ht::obs::Histogram& augmenting_paths_histogram() {
   static ht::obs::Histogram& h =
       ht::obs::MetricsRegistry::global().histogram("flow.augmenting_paths");
+  return h;
+}
+
+/// Per-query level-search work (FlowNetwork::last_search_nodes()).
+ht::obs::Histogram& search_nodes_histogram() {
+  static ht::obs::Histogram& h =
+      ht::obs::MetricsRegistry::global().histogram("flow.search_nodes");
   return h;
 }
 
@@ -108,8 +116,10 @@ void FlowNetwork::freeze() {
 
   cap_ = base_cap_;
   level_.assign(n, -1);
+  back_level_.assign(n, -1);
   iter_.assign(n, 0);
-  bfs_q_.assign(n, 0);
+  fwd_q_.assign(n, 0);
+  back_q_.assign(n, 0);
   reach_.assign(n, 0);
   PerfCounters::global().add_flow_build();
 }
@@ -179,60 +189,122 @@ FlowNetwork FlowNetwork::hyperedge_cut_network(
 
 void FlowNetwork::reset() {
   HT_CHECK(source_ >= 0);
-  std::copy(base_cap_.begin(), base_cap_.end(), cap_.begin());
+  for (const std::int32_t a : touched_) {
+    const auto r = static_cast<std::size_t>(rev_[static_cast<std::size_t>(a)]);
+    cap_[static_cast<std::size_t>(a)] = base_cap_[static_cast<std::size_t>(a)];
+    cap_[r] = base_cap_[r];
+  }
+  touched_.clear();
   ++queries_;
 }
 
 void FlowNetwork::attach_source(std::int32_t slot) {
   HT_CHECK(0 <= slot &&
            slot < static_cast<std::int32_t>(source_arc_of_.size()));
-  cap_[static_cast<std::size_t>(
-      source_arc_of_[static_cast<std::size_t>(slot)])] = kInfiniteCapacity;
+  const std::int32_t a = source_arc_of_[static_cast<std::size_t>(slot)];
+  cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
+  touched_.push_back(a);
 }
 
 void FlowNetwork::attach_sink(std::int32_t slot) {
   HT_CHECK(0 <= slot &&
            slot < static_cast<std::int32_t>(sink_arc_of_.size()));
-  cap_[static_cast<std::size_t>(
-      sink_arc_of_[static_cast<std::size_t>(slot)])] = kInfiniteCapacity;
+  const std::int32_t a = sink_arc_of_[static_cast<std::size_t>(slot)];
+  cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
+  touched_.push_back(a);
 }
 
+// Meet-in-the-middle level search. A forward ball grows from s over
+// residual arcs and a backward ball from t over reversed residual arcs
+// (arc b leaving v stands for head_[b] -> v through rev_[b]), one whole
+// level at a time, always on the side with the smaller frontier (ties go
+// forward). The search stops after the first level in which a node carries
+// both labels; then every such node has ds + dt = d, the s-t distance, and
+// the balls' radii add up to d. Neither terminal is ever expanded: the
+// meet ends the search before its frontier would be.
+//
+// The DFS then sees level ds on forward-ball nodes and d - dt on nodes
+// only in the backward ball (t gets d). Every node of a shortest residual
+// s-t path lies in one ball and so carries its true ds; an off-path node
+// only in the backward ball gets d - dt < ds, and the DFS, which starts at
+// level 0 and steps from l to l + 1 only, never reaches it. The level
+// graph therefore has exactly the s-t paths of a full BFS, the DFS pushes
+// the same paths in the same arc order, and only dead ends it used to
+// enter and leave are gone — every phase, flow, residual and witness is
+// bit-identical to a forward search.
 bool FlowNetwork::bfs() {
-  std::fill(level_.begin(), level_.end(), -1);
   const std::int32_t* offs = offs_.data();
   const NodeId* head = head_.data();
+  const std::int32_t* rev = rev_.data();
   const double* cap = cap_.data();
-  NodeId* q = bfs_q_.data();
-  std::int32_t qhead = 0;
-  std::int32_t qtail = 0;
-  std::int32_t sink_level = -1;
-  level_[static_cast<std::size_t>(source_)] = 0;
-  q[qtail++] = source_;
-  while (qhead < qtail) {
-    const NodeId v = q[qhead++];
-    const std::int32_t lv = level_[static_cast<std::size_t>(v)];
-    // Once the sink's level L is known, nodes at level >= L - 1 cannot
-    // start a shortest s-t path segment: their out-neighbors would sit at
-    // level >= L, and only the (already labelled) sink is useful there.
-    // The queue is level-ordered, so the first such pop ends the phase.
-    // Nodes this skips are exactly the ones the blocking-flow DFS would
-    // enter and leave without pushing, so pruning them keeps the
-    // augmentation sequence — and therefore every output — bit-identical.
-    if (sink_level != -1 && lv + 1 >= sink_level) break;
-    const std::int32_t end = offs[v + 1];
-    for (std::int32_t a = offs[v]; a < end; ++a) {
-      if (!positive(cap[a])) continue;
-      const NodeId to = head[a];
-      if (level_[static_cast<std::size_t>(to)] != -1) continue;
-      level_[static_cast<std::size_t>(to)] = lv + 1;
-      if (to == sink_) {
-        sink_level = lv + 1;
-        continue;  // never expand the sink
+  std::int32_t* level = level_.data();
+  std::int32_t* back = back_level_.data();
+  std::int32_t* iter = iter_.data();
+  NodeId* fq = fwd_q_.data();
+  NodeId* bq = back_q_.data();
+  // Clear only what the previous search labelled.
+  for (std::int32_t i = 0; i < fwd_len_; ++i) level[fq[i]] = -1;
+  for (std::int32_t i = 0; i < back_len_; ++i) {
+    level[bq[i]] = -1;
+    back[bq[i]] = -1;
+  }
+
+  constexpr std::int32_t kNoMeet = std::numeric_limits<std::int32_t>::max();
+  std::int32_t d = kNoMeet;
+  std::int32_t fhead = 0, ftail = 0, fradius = 0;
+  std::int32_t bhead = 0, btail = 0, bradius = 0;
+  level[source_] = 0;
+  fq[ftail++] = source_;
+  back[sink_] = 0;
+  bq[btail++] = sink_;
+  // An empty frontier closes its ball without a meet: no augmenting path.
+  while (d == kNoMeet && fhead < ftail && bhead < btail) {
+    if (ftail - fhead <= btail - bhead) {
+      const std::int32_t next = ++fradius;
+      for (const std::int32_t frontier_end = ftail; fhead < frontier_end;
+           ++fhead) {
+        const NodeId v = fq[fhead];
+        const std::int32_t end = offs[v + 1];
+        for (std::int32_t a = offs[v]; a < end; ++a) {
+          if (!positive(cap[a])) continue;
+          const NodeId to = head[a];
+          if (level[to] != -1) continue;
+          level[to] = next;
+          fq[ftail++] = to;
+          if (back[to] != -1) d = std::min(d, next + back[to]);
+        }
       }
-      q[qtail++] = to;
+    } else {
+      const std::int32_t next = ++bradius;
+      for (const std::int32_t frontier_end = btail; bhead < frontier_end;
+           ++bhead) {
+        const NodeId v = bq[bhead];
+        const std::int32_t end = offs[v + 1];
+        for (std::int32_t b = offs[v]; b < end; ++b) {
+          if (!positive(cap[rev[b]])) continue;
+          const NodeId from = head[b];
+          if (back[from] != -1) continue;
+          back[from] = next;
+          bq[btail++] = from;
+          if (level[from] != -1) d = std::min(d, level[from] + next);
+        }
+      }
     }
   }
-  return sink_level != -1;
+  fwd_len_ = ftail;
+  back_len_ = btail;
+  last_search_nodes_ += static_cast<std::uint64_t>(ftail + btail);
+  if (d == kNoMeet) return false;
+
+  // Hand the DFS its levels and a fresh current-arc pointer on exactly the
+  // labelled nodes; it never steps onto an unlabelled one.
+  for (std::int32_t i = 0; i < ftail; ++i) iter[fq[i]] = offs[fq[i]];
+  for (std::int32_t i = 0; i < btail; ++i) {
+    const NodeId v = bq[i];
+    if (level[v] == -1) level[v] = d - back[v];
+    iter[v] = offs[v];
+  }
+  return true;
 }
 
 double FlowNetwork::dfs(NodeId v, double limit) {
@@ -246,9 +318,14 @@ double FlowNetwork::dfs(NodeId v, double limit) {
     if (level_[static_cast<std::size_t>(to)] != next_level) continue;
     const double pushed = dfs(to, cap < limit ? cap : limit);
     if (positive(pushed)) {
-      cap_[static_cast<std::size_t>(a)] -= pushed;
-      cap_[static_cast<std::size_t>(rev_[static_cast<std::size_t>(a)])] +=
-          pushed;
+      const auto fa = static_cast<std::size_t>(a);
+      const auto r = static_cast<std::size_t>(rev_[fa]);
+      // Record the pair the first time it leaves its base capacities;
+      // while it differs from them it is already on the list.
+      if (cap_[fa] == base_cap_[fa] && cap_[r] == base_cap_[r])
+        touched_.push_back(a);
+      cap_[fa] -= pushed;
+      cap_[r] += pushed;
       return pushed;
     }
   }
@@ -266,6 +343,7 @@ double FlowNetwork::max_flow() {
   std::uint64_t paths = 0;
   std::uint64_t rounds = 0;
   last_flow_complete_ = true;
+  last_search_nodes_ = 0;
   while (bfs()) {
     // One poll per `stride` BFS phases (one relaxed load per phase once a
     // stop has latched elsewhere): an interrupted solve abandons the
@@ -278,7 +356,6 @@ double FlowNetwork::max_flow() {
         break;
       }
     }
-    std::copy(offs_.begin(), offs_.begin() + num_nodes(), iter_.begin());
     for (;;) {
       const double pushed = dfs(source_, kInfiniteCapacity);
       if (!positive(pushed)) break;
@@ -288,6 +365,7 @@ double FlowNetwork::max_flow() {
   }
   last_augmenting_paths_ = paths;
   augmenting_paths_histogram().record(paths);
+  search_nodes_histogram().record(last_search_nodes_);
   return total;
 }
 
@@ -317,8 +395,9 @@ std::size_t FlowNetwork::memory_bytes() const {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   return bytes(offs_) + bytes(head_) + bytes(rev_) + bytes(base_cap_) +
-         bytes(cap_) + bytes(source_arc_of_) + bytes(sink_arc_of_) +
-         bytes(level_) + bytes(iter_) + bytes(bfs_q_) + bytes(reach_) +
+         bytes(cap_) + bytes(touched_) + bytes(source_arc_of_) +
+         bytes(sink_arc_of_) + bytes(level_) + bytes(back_level_) +
+         bytes(iter_) + bytes(fwd_q_) + bytes(back_q_) + bytes(reach_) +
          bytes(build_from_) + bytes(build_to_) + bytes(build_cap_);
 }
 

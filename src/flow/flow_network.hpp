@@ -24,7 +24,8 @@
 // plus two super terminals s/t with one *preallocated* zero-capacity
 // terminal arc pair per vertex. A query is then:
 //
-//   net.reset();                        // O(arcs) capacity restore, no alloc
+//   net.reset();                        // restore the arcs the last query
+//                                       // changed, no alloc
 //   net.attach_source(v); ...           // flip terminal arcs to infinity
 //   net.attach_sink(u);  ...
 //   net.max_flow();                     // Dinic, in place
@@ -32,6 +33,13 @@
 //
 // Because reset() restores the exact pre-query capacities, a reused
 // network answers every query bit-identically to a freshly built one.
+//
+// A query's work follows its shortest augmenting paths rather than the
+// whole network: each Dinic level search grows a ball from s and a ball
+// from t until they meet, the per-phase scratch is cleared only on the
+// nodes the previous search labelled, and reset() rewrites only the arcs
+// the previous query changed. (The super terminals still scan their one
+// dormant arc per vertex slot in every phase.)
 //
 // Engines are cached per thread in WorkArena keyed by the structure uid of
 // the underlying (hyper)graph; FlowReuseScope(false) disables the cache so
@@ -113,6 +121,10 @@ class FlowNetwork {
   std::uint64_t last_augmenting_paths() const {
     return last_augmenting_paths_;
   }
+  /// Nodes labelled by the level searches of the most recent max_flow()
+  /// call: the sizes of both balls, summed over every phase including the
+  /// last (failed) one. Deterministic per query, like the path count.
+  std::uint64_t last_search_nodes() const { return last_search_nodes_; }
   /// False when the most recent solve was interrupted by the ambient
   /// RunContext (deadline/cancel polled every flow_check_rounds augmenting
   /// rounds). An interrupted solve returns a partial flow value whose
@@ -122,7 +134,8 @@ class FlowNetwork {
   bool last_flow_complete() const { return last_flow_complete_; }
 
   /// Restores every capacity to its build-time value (terminal arcs back
-  /// to zero) in O(arcs) with no allocation. Must precede attach_*.
+  /// to zero) with no allocation, rewriting only the arcs that the previous
+  /// query changed — an interrupted one included. Must precede attach_*.
   void reset();
   /// Activates the preallocated s -> slot arc at infinite capacity.
   /// `slot` is the original vertex id the builder registered.
@@ -177,16 +190,28 @@ class FlowNetwork {
   NodeId source_ = -1;
   NodeId sink_ = -1;
 
-  // Per-query state.
+  // Per-query state. touched_ lists every arc pair whose capacities left
+  // their base values since the last reset(): one entry per pair (the
+  // first push on it) plus one per attach_*, so it never outgrows the
+  // arcs and the attach calls.
   std::vector<double> cap_;
+  std::vector<std::int32_t> touched_;
   std::uint64_t queries_ = 0;
   std::uint64_t last_augmenting_paths_ = 0;
+  std::uint64_t last_search_nodes_ = 0;
   bool last_flow_complete_ = true;
 
-  // Dinic scratch, reused across queries (sized once at freeze()).
-  std::vector<std::int32_t> level_;
-  std::vector<std::int32_t> iter_;   // current arc index per node
-  std::vector<NodeId> bfs_q_;        // flat BFS ring (each node enters once)
+  // Dinic scratch, reused across queries (sized once at freeze()). A level
+  // search labels the nodes it enqueues and nothing else, so the two
+  // queues and their lengths are also the list of labels the next search
+  // must clear.
+  std::vector<std::int32_t> level_;       // forward distance, then DFS level
+  std::vector<std::int32_t> back_level_;  // distance to t (backward ball)
+  std::vector<std::int32_t> iter_;        // current arc index per node
+  std::vector<NodeId> fwd_q_;             // forward ball, in BFS order
+  std::vector<NodeId> back_q_;            // backward ball, in BFS order
+  std::int32_t fwd_len_ = 0;
+  std::int32_t back_len_ = 0;
   std::vector<char> reach_;
 };
 

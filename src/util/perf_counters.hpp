@@ -1,6 +1,6 @@
 // Process-wide performance counters for the parallel decomposition engine.
 //
-// The engines (wavefront peeling, Gomory–Hu batching, the flow oracles)
+// The engines (wavefront peeling, Gomory–Hu builds, the flow oracles)
 // and the thread pool feed a small set of counters; benches reset them
 // around a measured section and print report(). Counters are intentionally
 // lossy about attribution (they are process-wide, not per-call) — they
@@ -30,7 +30,7 @@ class PerfCounters {
   /// Work items (pieces/clusters/subproblems) processed by the engines.
   void add_pieces(std::uint64_t count) { pieces_.add(count); }
   /// Max-flow invocations (min_edge_cut / min_vertex_cut /
-  /// min_hyperedge_cut), including speculative ones that were discarded.
+  /// min_hyperedge_cut), complete or interrupted.
   void add_max_flow_call() { max_flow_calls_.add(); }
   /// Tasks executed by the thread pool (workers and stealing waiters).
   void add_task() { tasks_.add(); }

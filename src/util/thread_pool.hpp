@@ -2,8 +2,8 @@
 // parallel_for.
 //
 // The decomposition engines (vertex cut tree, sparsest-cut peeling,
-// decomposition trees, Gomory–Hu batching) and the benchmark sweeps all
-// distribute independent work items over one process-wide pool.
+// decomposition trees, the snapshot build's three trees) and the benchmark
+// sweeps all distribute independent work items over one process-wide pool.
 //
 // Determinism contract: results depend only on the work-item index (each
 // item derives its own RNG stream from its index — see util/wavefront.hpp),

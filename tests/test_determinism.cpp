@@ -61,9 +61,8 @@ TEST(Determinism, Theorem1BisectionAcrossThreadCounts) {
 }
 
 TEST(Determinism, GomoryHuAcrossThreadCounts) {
-  // The batched speculative build must reproduce the serial Gusfield
-  // sequence exactly: stale speculations are recomputed, so the tree is
-  // independent of batch size and thread count.
+  // Gusfield's loop is serial, so the tree cannot depend on the pool
+  // size; this pins that nothing else in the build does either.
   ht::Rng rng(1313);
   const auto g = ht::graph::gnp_connected(60, 6.0 / 60, rng);
   auto [serial, parallel] =

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -33,6 +34,7 @@
 #include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
 #include "util/rng.hpp"
+#include "util/run_context.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_arena.hpp"
 
@@ -84,6 +86,20 @@ std::vector<ht::graph::VertexId> random_terminals(ht::Rng& rng,
   return out;
 }
 
+// Two disjoint connected random graphs on [0, n1) and [n1, n1 + n2): a
+// query across them has no augmenting path at all.
+ht::graph::Graph two_components(ht::Rng& rng, std::int32_t n1,
+                                std::int32_t n2) {
+  const auto left = ht::graph::gnp_connected(n1, 4.0 / n1, rng);
+  const auto right = ht::graph::gnp_connected(n2, 4.0 / n2, rng);
+  ht::graph::Graph g(n1 + n2);
+  for (const auto& e : left.edges()) g.add_edge(e.u, e.v, e.weight);
+  for (const auto& e : right.edges())
+    g.add_edge(n1 + e.u, n1 + e.v, e.weight);
+  g.finalize();
+  return g;
+}
+
 TEST(FlowEngine, EdgeCutReuseMatchesFreshBuild) {
   ht::Rng rng(51);
   for (int round = 0; round < 12; ++round) {
@@ -101,6 +117,26 @@ TEST(FlowEngine, EdgeCutReuseMatchesFreshBuild) {
       EXPECT_EQ(reused.cut_edges, fresh.cut_edges);
       EXPECT_EQ(reused.source_side, fresh.source_side);
     }
+  }
+  // Terminals in different components: both balls close without meeting,
+  // the value is 0 and the witness is the source's whole component. The
+  // second query runs on the network the first one cached.
+  const auto g = two_components(rng, 14, 11);
+  const std::vector<ht::graph::VertexId> left{2, 5}, right{17};
+  for (const bool from_left : {true, false}) {
+    const auto& a = from_left ? left : right;
+    const auto& b = from_left ? right : left;
+    const auto reused = ht::CutEngine().min_edge_cut(g, a, b);
+    FlowReuseScope off(false);
+    const auto fresh = ht::CutEngine().min_edge_cut(g, a, b);
+    EXPECT_EQ(reused.value, 0.0);
+    EXPECT_TRUE(reused.cut_edges.empty());
+    for (ht::graph::VertexId v = 0; v < g.num_vertices(); ++v)
+      EXPECT_EQ(reused.source_side[static_cast<std::size_t>(v)],
+                (v < 14) == from_left)
+          << "v=" << v;
+    EXPECT_EQ(reused.value, fresh.value);
+    EXPECT_EQ(reused.source_side, fresh.source_side);
   }
 }
 
@@ -121,6 +157,21 @@ TEST(FlowEngine, VertexCutReuseMatchesFreshBuild) {
       EXPECT_EQ(reused.cut_vertices, fresh.cut_vertices);
     }
   }
+  // Terminals in different components: value 0, nothing to cut.
+  const auto g = two_components(rng, 13, 10);
+  const std::vector<ht::graph::VertexId> left{1, 8}, right{15, 20};
+  for (const bool from_left : {true, false}) {
+    const auto& a = from_left ? left : right;
+    const auto& b = from_left ? right : left;
+    const auto reused = ht::CutEngine().min_vertex_cut(g, a, b);
+    FlowReuseScope off(false);
+    const auto fresh = ht::CutEngine().min_vertex_cut(g, a, b);
+    EXPECT_TRUE(reused.complete);
+    EXPECT_EQ(reused.value, 0.0);
+    EXPECT_TRUE(reused.cut_vertices.empty());
+    EXPECT_EQ(reused.value, fresh.value);
+    EXPECT_EQ(reused.cut_vertices, fresh.cut_vertices);
+  }
 }
 
 TEST(FlowEngine, HyperedgeCutReuseMatchesFreshBuild) {
@@ -140,6 +191,27 @@ TEST(FlowEngine, HyperedgeCutReuseMatchesFreshBuild) {
       EXPECT_EQ(reused.cut_edges, fresh.cut_edges);
     }
   }
+  // Terminals in different components (two disjoint triangle chains on
+  // [0, 12) and [12, 20)): value 0, nothing to cut.
+  ht::hypergraph::Hypergraph h(20);
+  for (ht::hypergraph::VertexId v = 0; v + 2 < 12; ++v)
+    h.add_edge({v, v + 1, v + 2}, 1.0 + v % 3);
+  for (ht::hypergraph::VertexId v = 12; v + 2 < 20; ++v)
+    h.add_edge({v, v + 1, v + 2}, 2.0);
+  h.finalize();
+  const std::vector<ht::hypergraph::VertexId> left{0, 6}, right{15};
+  for (const bool from_left : {true, false}) {
+    const auto& a = from_left ? left : right;
+    const auto& b = from_left ? right : left;
+    const auto reused = ht::CutEngine().min_hyperedge_cut(h, a, b);
+    FlowReuseScope off(false);
+    const auto fresh = ht::CutEngine().min_hyperedge_cut(h, a, b);
+    EXPECT_TRUE(reused.complete);
+    EXPECT_EQ(reused.value, 0.0);
+    EXPECT_TRUE(reused.cut_edges.empty());
+    EXPECT_EQ(reused.value, fresh.value);
+    EXPECT_EQ(reused.cut_edges, fresh.cut_edges);
+  }
 }
 
 TEST(FlowEngine, RepeatedQueriesAreIdentical) {
@@ -153,6 +225,35 @@ TEST(FlowEngine, RepeatedQueriesAreIdentical) {
   EXPECT_EQ(first.value, second.value);
   EXPECT_EQ(first.cut_edges, second.cut_edges);
   EXPECT_EQ(first.source_side, second.source_side);
+
+  // An abandoned solve on the cached network must be undone by the next
+  // reset() too: a pre-latched stop abandons it after the first level
+  // search, before any push; an expired deadline polled every second
+  // phase abandons it after one phase of pushes.
+  ht::flow::EdgeCutResult fresh;
+  {
+    FlowReuseScope off(false);
+    fresh = ht::CutEngine().min_edge_cut(g, a, b);
+  }
+  auto& paths =
+      ht::obs::MetricsRegistry::global().histogram("flow.augmenting_paths");
+  for (const std::uint32_t check_rounds : {1u, 2u}) {
+    ht::RunContext ctx;
+    ctx.deadline = ht::RunContext::Clock::now() - std::chrono::milliseconds(1);
+    ctx.flow_check_rounds = check_rounds;
+    const auto paths_before = paths.sum();
+    {
+      ht::RunScope scope(ctx);
+      if (check_rounds == 1) scope.state().check();  // latch the stop
+      EXPECT_FALSE(ht::CutEngine().min_edge_cut(g, a, b).complete);
+    }
+    EXPECT_EQ(paths.sum() > paths_before, check_rounds == 2);
+    const auto after = ht::CutEngine().min_edge_cut(g, a, b);
+    EXPECT_TRUE(after.complete);
+    EXPECT_EQ(after.value, fresh.value);
+    EXPECT_EQ(after.cut_edges, fresh.cut_edges);
+    EXPECT_EQ(after.source_side, fresh.source_side);
+  }
 }
 
 TEST(FlowEngine, ReuseCountersShowReuse) {
@@ -198,6 +299,52 @@ TEST(FlowEngine, ArenaDinicAgreesWithReferenceDinic) {
     ref.add_arc(n, s, ht::flow::kInfiniteCapacity);
     ref.add_arc(t, n + 1, ht::flow::kInfiniteCapacity);
     EXPECT_NEAR(dinic_flow, ref.max_flow(n, n + 1), 1e-6);
+  }
+  // The cases below run queries on one reused network and also compare
+  // the canonical (inclusion-minimal) source side, which is unique.
+  const auto expect_reference = [](FlowNetwork& net, const ht::graph::Graph& g,
+                                   const std::vector<ht::graph::VertexId>& a,
+                                   const std::vector<ht::graph::VertexId>& b) {
+    const std::int32_t n = g.num_vertices();
+    net.reset();
+    for (const auto v : a) net.attach_source(v);
+    for (const auto v : b) net.attach_sink(v);
+    ht::flow::Dinic<double> ref(n + 2);
+    for (const auto& e : g.edges()) ref.add_undirected(e.u, e.v, e.weight);
+    for (const auto v : a) ref.add_arc(n, v, ht::flow::kInfiniteCapacity);
+    for (const auto v : b) ref.add_arc(v, n + 1, ht::flow::kInfiniteCapacity);
+    EXPECT_NEAR(net.max_flow(), ref.max_flow(n, n + 1), 1e-6);
+    const auto ref_side = ref.min_cut_source_side();
+    const auto& side = net.source_side();
+    for (ht::graph::VertexId v = 0; v < n; ++v)
+      EXPECT_EQ(side[static_cast<std::size_t>(v)] != 0,
+                ref_side[static_cast<std::size_t>(v)])
+          << "v=" << v;
+  };
+  // A hub source and a leaf sink: after the hub's level the backward ball
+  // has the smaller frontier, so the search grows from the sink.
+  ht::graph::Graph hub(32);
+  for (ht::graph::VertexId v = 1; v <= 30; ++v) {
+    hub.add_edge(0, v, 1.0 + v % 3);
+    hub.add_edge(v, v % 30 + 1, 2.0);
+  }
+  hub.add_edge(17, 31, 5.0);
+  hub.add_edge(23, 31, 1.5);
+  hub.finalize();
+  FlowNetwork hub_net = FlowNetwork::edge_cut_network(hub);
+  expect_reference(hub_net, hub, {0}, {31});
+  expect_reference(hub_net, hub, {31}, {0});
+  // Multi-terminal queries in a row: each one starts from the capacities
+  // and search scratch the previous one left behind.
+  ht::Rng multi(58);
+  const auto g = ht::graph::gnp_connected(48, 4.0 / 48, multi);
+  FlowNetwork net = FlowNetwork::edge_cut_network(g);
+  for (int q = 0; q < 24; ++q) {
+    std::vector<char> taken(48, 0);
+    const auto a = random_terminals(multi, 48, taken);
+    const auto b = random_terminals(multi, 48, taken);
+    if (a.empty() || b.empty()) continue;
+    expect_reference(net, g, a, b);
   }
 }
 
@@ -406,8 +553,8 @@ TEST(FlowEngineGolden, GoldensHoldWithReuseDisabled) {
 
 
 TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
-  // Batched Gomory–Hu speculation must not move a byte: the 1- and
-  // 4-thread pools reproduce the pre-refactor hashes.
+  // The pool size must not move a byte: the 1- and 4-thread pools
+  // reproduce the pre-refactor hashes.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ht::ThreadPool::reset_global(threads);
     {
@@ -499,40 +646,44 @@ TEST(SubsetView, SingletonSubsetsKeepTheVertexAndDropAllEdges) {
 }
 
 // --- flow-work gate -------------------------------------------------------
-// Max-flow calls, network builds and augmenting paths of three cut-tree
-// workloads, pinned on a one-thread pool: with more threads the Gomory–Hu
-// builders speculate a batch of flows and recompute the stale ones, so
-// the flow count follows the pool size. Everything else about these
-// counts is deterministic (fixed seeds, fixed arc order, reset() restores
-// exact capacities), so any change is an algorithmic change; update the
-// expectations deliberately, in review.
+// Max-flow calls, network builds, augmenting paths and level-search nodes
+// of three cut-tree workloads, on a one-thread and a four-thread pool. The
+// Gomory–Hu builders run Gusfield's flows one at a time on the calling
+// thread and the vertex cut tree's flows are fixed per piece, so the work
+// does not follow the pool size, and everything about it is deterministic
+// (fixed seeds, fixed arc order, reset() restores exact capacities): any
+// change is an algorithmic change; update the expectations deliberately,
+// in review. The one schedule-dependent number is how many threads build
+// a vertex-cut-tree piece's network: its oracle runs its flows under
+// parallel_for, and each thread that takes one builds its own.
 
 struct FlowWork {
   std::uint64_t flows = 0;
   std::uint64_t builds = 0;
   std::uint64_t augmenting_paths = 0;
+  std::uint64_t search_nodes = 0;
   bool operator==(const FlowWork&) const = default;
 };
 
 void PrintTo(const FlowWork& w, std::ostream* os) {
   *os << "{flows=" << w.flows << ", builds=" << w.builds
-      << ", augmenting_paths=" << w.augmenting_paths << "}";
+      << ", augmenting_paths=" << w.augmenting_paths
+      << ", search_nodes=" << w.search_nodes << "}";
 }
 
 template <typename Fn>
 FlowWork count_flow_work(Fn&& workload) {
   ht::WorkArena::local().clear_cache();
   auto& counters = ht::PerfCounters::global();
-  counters.reset();  // the whole registry, flow.augmenting_paths included
+  counters.reset();  // the whole registry, the flow.* histograms included
   workload();
+  auto& metrics = ht::obs::MetricsRegistry::global();
   return {counters.max_flow_calls(), counters.flow_builds(),
-          ht::obs::MetricsRegistry::global()
-              .histogram("flow.augmenting_paths")
-              .sum()};
+          metrics.histogram("flow.augmenting_paths").sum(),
+          metrics.histogram("flow.search_nodes").sum()};
 }
 
 TEST(FlowEngineCounts, CutTreeWorkloadsReproduceExactly) {
-  ht::ThreadPool::reset_global(1);
   ht::Rng gh_rng(1313);
   const auto g = ht::graph::gnp_connected(160, 6.0 / 160, gh_rng);
   ht::Rng vct_rng(2024);
@@ -550,18 +701,33 @@ TEST(FlowEngineCounts, CutTreeWorkloadsReproduceExactly) {
     (void)ht::CutEngine().gomory_hu(h);
   };
 
-  // The engine cache answers all of a Gomory–Hu build's flows from one
-  // network.
-  EXPECT_EQ(count_flow_work(gomory_hu), (FlowWork{159, 1, 961}));
-  EXPECT_EQ(count_flow_work(vertex_cut_tree), (FlowWork{72, 9, 390}));
-  EXPECT_EQ(count_flow_work(hypergraph_gomory_hu), (FlowWork{79, 1, 470}));
-  {
-    // The fresh-build path builds a network per flow and walks the same
-    // augmenting paths.
-    FlowReuseScope off(false);
-    EXPECT_EQ(count_flow_work(gomory_hu), (FlowWork{159, 159, 961}));
-    EXPECT_EQ(count_flow_work(vertex_cut_tree), (FlowWork{72, 72, 390}));
-    EXPECT_EQ(count_flow_work(hypergraph_gomory_hu), (FlowWork{79, 79, 470}));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ht::ThreadPool::reset_global(threads);
+    // The engine cache answers all of a Gomory–Hu build's flows from one
+    // network.
+    EXPECT_EQ(count_flow_work(gomory_hu), (FlowWork{159, 1, 961, 28370}));
+    FlowWork vct = count_flow_work(vertex_cut_tree);
+    if (threads > 1) {
+      // One build per piece and participating thread.
+      EXPECT_GE(vct.builds, 9u);
+      EXPECT_LE(vct.builds, 72u);
+      vct.builds = 9;
+    }
+    EXPECT_EQ(vct, (FlowWork{72, 9, 390, 10159}));
+    EXPECT_EQ(count_flow_work(hypergraph_gomory_hu),
+              (FlowWork{79, 1, 470, 25824}));
+    {
+      // The fresh-build path builds a network per flow and walks the same
+      // augmenting paths.
+      FlowReuseScope off(false);
+      EXPECT_EQ(count_flow_work(gomory_hu),
+                (FlowWork{159, 159, 961, 28370}));
+      EXPECT_EQ(count_flow_work(vertex_cut_tree),
+                (FlowWork{72, 72, 390, 10159}));
+      EXPECT_EQ(count_flow_work(hypergraph_gomory_hu),
+                (FlowWork{79, 79, 470, 25824}));
+    }
   }
   ht::ThreadPool::reset_global();
 }

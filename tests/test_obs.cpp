@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "cuttree/vertex_cut_tree.hpp"
+#include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "gtest/gtest.h"
+#include "hypergraph/generators.hpp"
 #include "obs/atomic_max.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
@@ -712,19 +714,23 @@ TEST(Trace, VertexCutTreeSpanTreeIsRootedAndWellFormed) {
 TEST(Trace, SameSpanMultisetForOneAndFourThreads) {
   // The logical span tree (names + args) must be identical for any thread
   // count; only ids/timestamps/thread assignment may differ. Uses the
-  // vertex cut tree: its oracle fan-out is fixed per piece (unlike
-  // Gomory-Hu speculation, whose batch size follows the pool size).
+  // vertex cut tree, whose oracle fan-out is fixed per piece, and the
+  // hypergraph Gomory–Hu builder, whose Gusfield loop runs one flow per
+  // vertex at every pool size.
   ht::Rng rng(777);
   const auto g = ht::graph::gnp_connected(48, 5.0 / 48, rng);
   ht::cuttree::VertexCutTreeOptions opt;
   opt.threshold_override = 0.6;
   opt.seed = 99;
+  ht::Rng h_rng(99);
+  const auto h = ht::hypergraph::random_uniform(36, 70, 3, h_rng);
 
   const auto run = [&](std::size_t threads) {
     ht::ThreadPool::reset_global(threads);
     ht::obs::Tracer::global().clear();
     ht::obs::set_tracing_enabled(true);
     (void)ht::cuttree::build_vertex_cut_tree(g, opt);
+    (void)ht::CutEngine().gomory_hu(h);
     ht::ThreadPool::global().wait_idle();
     ht::obs::set_tracing_enabled(false);
     const auto events = ht::obs::Tracer::global().collect();
