@@ -174,7 +174,10 @@ int main() {
   // (mixed-workload) qps is the gated figure — per-record cost is also
   // measured directly below, because on a ~250 ns min_cut walk even one
   // extra cache line is a visible fraction while the workload-level cost
-  // stays far under the 2% gate.
+  // stays far under the 2% gate. Both passes run on this one thread, so
+  // the A/B sees the append's own cost only, never a cache line shared
+  // between serving threads (perfbench's serve workload runs two point
+  // clients for that).
   auto& recorder = ht::obs::FlightRecorder::global();
   (void)run_sections();  // warmup: touch every DP/code path once
   recorder.set_enabled(false);

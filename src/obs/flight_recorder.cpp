@@ -45,6 +45,13 @@ std::uint64_t pack_w4(const FlightRecord& r) {
          (static_cast<std::uint64_t>(r.status_code) << 56);
 }
 
+// start_ns + latency_ns, the dump's merge key; wraps rather than
+// overflowing on nonsense inputs.
+std::int64_t completion_ns(const FlightRecord& r) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(r.start_ns) +
+                                   r.latency_ns);
+}
+
 std::size_t round_up_pow2(std::size_t n) {
   if (n < 8) n = 8;
   return std::size_t{1} << std::bit_width(n - 1);
@@ -52,15 +59,30 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity) {
-  std::size_t cap = round_up_pow2(capacity);
-  slots_ = std::make_unique<Slot[]>(cap);
-  mask_ = cap - 1;
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : mask_(round_up_pow2(capacity) - 1) {}
+
+FlightRecorder::~FlightRecorder() {
+  for (auto& ring : rings_) delete ring.load(std::memory_order_relaxed);
 }
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder* recorder = new FlightRecorder();  // leaked like Tracer
   return *recorder;
+}
+
+FlightRecorder::Ring* FlightRecorder::install_ring(std::size_t stripe) {
+  // Threads sharing the stripe may race here; the loser frees its copy
+  // and uses the winner's.
+  auto fresh = std::make_unique<Ring>();
+  fresh->slots = std::make_unique<Slot[]>(capacity());
+  Ring* ring = nullptr;
+  if (rings_[stripe].compare_exchange_strong(ring, fresh.get(),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+    ring = fresh.release();
+  }
+  return ring;
 }
 
 std::int64_t FlightRecorder::now_ns() const {
@@ -71,8 +93,11 @@ std::int64_t FlightRecorder::now_ns() const {
 
 void FlightRecorder::append(const FlightRecord& record) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq & mask_];
+  const std::size_t stripe = thread_stripe();
+  Ring* ring = rings_[stripe].load(std::memory_order_acquire);
+  if (ring == nullptr) ring = install_ring(stripe);  // stripe's first append
+  const std::uint64_t seq = ring->head.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = ring->slots[seq & mask_];
   // Seqlock write: odd version marks the slot mid-write, the final
   // release store of 2*seq+2 publishes the payload. Payload stores are
   // relaxed (the fences order them against the version word); concurrent
@@ -90,6 +115,15 @@ void FlightRecorder::append(const FlightRecord& record) {
   slot.word[kFlags].store(record.prep_exact ? 1u : 0u,
                           std::memory_order_relaxed);
   slot.ver.store(2 * seq + 2, std::memory_order_release);
+}
+
+std::uint64_t FlightRecorder::recorded() const {
+  std::uint64_t total = 0;
+  for (const auto& cell : rings_) {
+    const Ring* ring = cell.load(std::memory_order_acquire);
+    if (ring != nullptr) total += ring->head.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 bool FlightRecorder::read_slot(const Slot& slot, FlightRecord& out) const {
@@ -121,15 +155,25 @@ bool FlightRecorder::read_slot(const Slot& slot, FlightRecord& out) const {
 std::vector<FlightRecord> FlightRecorder::dump() const {
   std::vector<FlightRecord> records;
   const std::size_t cap = capacity();
-  records.reserve(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    FlightRecord r;
-    if (read_slot(slots_[i], r)) records.push_back(r);
+  for (const auto& cell : rings_) {
+    const Ring* ring = cell.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    for (std::size_t i = 0; i < cap; ++i) {
+      FlightRecord r;
+      if (read_slot(ring->slots[i], r)) records.push_back(r);
+    }
   }
-  std::sort(records.begin(), records.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
-            });
+  // Merge the rings by completion time. Stable, so records that tie on
+  // every key (a caller-chosen thread shared across stripes) keep ring
+  // order and the dump stays deterministic for a quiescent recorder.
+  std::stable_sort(records.begin(), records.end(),
+                   [](const FlightRecord& a, const FlightRecord& b) {
+                     const std::int64_t end_a = completion_ns(a);
+                     const std::int64_t end_b = completion_ns(b);
+                     if (end_a != end_b) return end_a < end_b;
+                     if (a.thread != b.thread) return a.thread < b.thread;
+                     return a.seq < b.seq;
+                   });
   return records;
 }
 
@@ -139,7 +183,7 @@ std::string FlightRecorder::dump_json() const {
   out.reserve(64 + records.size() * 160);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{\"version\":1,\"capacity\":%zu,\"recorded\":%llu,"
+                "{\"version\":2,\"capacity\":%zu,\"recorded\":%llu,"
                 "\"records\":[",
                 capacity(),
                 static_cast<unsigned long long>(recorded()));

@@ -43,20 +43,40 @@ SparsestCutResult sparsest_hyperedge_cut_exact(const Hypergraph& h) {
   HT_CHECK(h.finalized());
   const int n = h.num_vertices();
   HT_CHECK_MSG(n <= 20, "exact sparsest cut limited to n <= 20");
-  SparsestCutResult best;
-  if (n < 2) return best;
+  if (n < 2) return {};
+  // One pin mask per edge: e crosses S exactly when it has pins both in
+  // and out of S.
+  const EdgeId m = h.num_edges();
+  std::vector<std::uint32_t> pin_mask(static_cast<std::size_t>(m), 0);
+  for (EdgeId e = 0; e < m; ++e)
+    for (VertexId v : h.pins(e))
+      pin_mask[static_cast<std::size_t>(e)] |= 1u << v;
+  // S ranges over the nonempty subsets of the first n-1 vertices (vertex
+  // n-1 fixed outside halves the enumeration by symmetry), so both sides
+  // are nonempty. Crossing weights are summed in edge-id order, as
+  // Hypergraph::cut_weight adds them, and the first strict minimum in
+  // mask order wins.
+  std::uint32_t best_mask = 0;
+  double best_cut = 0.0;
+  double best_sparsity = 0.0;
+  for (std::uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
+    double cut = 0.0;
+    for (EdgeId e = 0; e < m; ++e) {
+      const std::uint32_t pins = pin_mask[static_cast<std::size_t>(e)];
+      if ((pins & mask) != 0 && (pins & ~mask) != 0) cut += h.edge_weight(e);
+    }
+    const int count = ht::popcount32(mask);
+    const double sparsity = sparsity_of(cut, std::min(count, n - count));
+    if (best_mask == 0 || sparsity < best_sparsity) {
+      best_mask = mask;
+      best_cut = cut;
+      best_sparsity = sparsity;
+    }
+  }
   std::vector<bool> side(static_cast<std::size_t>(n), false);
-  ht::for_each_subset(n - 1, [&](std::uint32_t mask) {
-    // Vertex n-1 fixed outside S: halves the enumeration by symmetry.
-    if (mask == 0) return;
-    for (int v = 0; v + 1 < n; ++v)
-      side[static_cast<std::size_t>(v)] = (mask >> v) & 1u;
-    const double cut = h.cut_weight(side);
-    SparsestCutResult cand = from_side(h, side, cut);
-    if (cand.valid && (!best.valid || cand.sparsity < best.sparsity))
-      best = std::move(cand);
-  });
-  return best;
+  for (int v = 0; v + 1 < n; ++v)
+    side[static_cast<std::size_t>(v)] = (best_mask >> v) & 1u;
+  return from_side(h, side, best_cut);
 }
 
 SparsestCutResult sparsest_hyperedge_cut(const Hypergraph& h, ht::Rng& rng) {

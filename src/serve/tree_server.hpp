@@ -29,8 +29,8 @@
 // The point queries (min_cut, global_min_cut, set_cut) run in O(tree
 // path) and never poll, so they bind no RunScope; bisection() and kway()
 // bind one around their DPs, whose cooperative polls observe it. The
-// query path writes only per-thread metric and reader stripes, apart from
-// the flight recorder's global sequence counter.
+// query path writes only per-thread stripes: metric and reader stripes
+// and the flight recorder's ring for the thread's stripe.
 #pragma once
 
 #include <cstdint>
@@ -56,14 +56,16 @@ namespace serve {
 /// The flight recorder (obs/flight_recorder.hpp) gets one fixed-size
 /// record per query — kind, epoch, deadline headroom, latency, status,
 /// cut value, prep-exactness, thread — appended lock-free after the
-/// answer is produced (~tens of ns; disable per-server only for A/B
-/// overhead measurements). Queries slower than slow_query_ns additionally
-/// record a "serve.slow_query" trace span carrying the same fields as
-/// span args (tracing must be enabled to see them; the span is
-/// timing-dependent by design, unlike the deterministic serve.* spans).
-/// When flight_dump_path is non-empty, any query that finishes non-ok
-/// rewrites that file with the recorder's JSON dump — a post-mortem of
-/// the last `capacity` queries leading up to the error.
+/// answer is produced to the ring of the serving thread's metrics stripe
+/// (~tens of ns, no write shared with threads on other stripes; disable
+/// per-server only for A/B overhead measurements). Queries slower than
+/// slow_query_ns additionally record a "serve.slow_query" trace span
+/// carrying the same fields as span args (tracing must be enabled to see
+/// them; the span is timing-dependent by design, unlike the deterministic
+/// serve.* spans). When flight_dump_path is non-empty, any query that
+/// finishes non-ok rewrites that file with the recorder's JSON dump — a
+/// post-mortem of the last `capacity` queries of each ring, merged by
+/// completion time, leading up to the error.
 struct ServeOptions {
   bool flight_recorder = true;
   std::uint64_t slow_query_ns = 100'000'000;  // 100 ms

@@ -476,25 +476,28 @@ TEST(Flight, DumpJsonIsVersionedAndParses) {
   rec.append(make_record(ht::obs::QueryKind::kSetCut, 7.0));
   const std::string json = rec.dump_json();
   EXPECT_TRUE(json_parses(json)) << json;
-  EXPECT_EQ(json.find("{\"version\":1,"), 0u);
+  EXPECT_EQ(json.find("{\"version\":2,"), 0u);
   EXPECT_NE(json.find("\"kind\":\"set_cut\""), std::string::npos);
   EXPECT_NE(json.find("\"records\":["), std::string::npos);
 }
 
 TEST(Flight, ConcurrentAppendersAndDumpersStayWellFormed) {
   // Dumps run against live appenders: every record read must be coherent
-  // (a valid kind and the cut value matching the seq its writer packed),
-  // and seqs must come out strictly increasing. Torn slots may be skipped
-  // but never invented.
+  // (a valid kind), each writer's seqs must come out strictly increasing,
+  // and no writer's ring can hold more than capacity() records. Torn
+  // slots may be skipped but never invented.
+  constexpr int kWriters = 3;
   ht::obs::FlightRecorder rec(64);
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
-  for (int w = 0; w < 3; ++w) {
+  for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&rec, &stop] {
+      const auto thread = static_cast<std::uint16_t>(ht::obs::thread_index());
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         ht::obs::FlightRecord r;
         r.kind = ht::obs::QueryKind::kMinCut;
+        r.thread = thread;
         r.latency_ns = ++i;
         rec.append(r);
       }
@@ -505,21 +508,78 @@ TEST(Flight, ConcurrentAppendersAndDumpersStayWellFormed) {
   while (rec.recorded() == 0) std::this_thread::yield();
   for (int round = 0; round < 200; ++round) {
     const auto records = rec.dump();
-    std::uint64_t last_seq = 0;
-    bool first = true;
+    std::map<std::uint16_t, std::uint64_t> last_seq;
+    std::map<std::uint16_t, std::size_t> per_thread;
     for (const auto& r : records) {
-      if (!first) {
-        EXPECT_GT(r.seq, last_seq);
+      const auto last = last_seq.find(r.thread);
+      if (last != last_seq.end()) {
+        EXPECT_GT(r.seq, last->second);
       }
-      first = false;
-      last_seq = r.seq;
+      last_seq[r.thread] = r.seq;
+      ++per_thread[r.thread];
       EXPECT_EQ(r.kind, ht::obs::QueryKind::kMinCut);
     }
-    EXPECT_LE(records.size(), rec.capacity());
+    for (const auto& [thread, count] : per_thread) {
+      EXPECT_LE(count, rec.capacity()) << "thread " << thread;
+    }
+    EXPECT_LE(records.size(), kWriters * rec.capacity());
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : writers) t.join();
   EXPECT_GT(rec.recorded(), 0u);
+}
+
+TEST(Flight, ThreadsOnDistinctStripesAppendToTheirOwnRings) {
+  // Writers on distinct stripes append concurrently. Each appends to its
+  // own stripe's ring, so its records come back with that ring's
+  // contiguous seqs 0..k-1 — no other writer took a seq from it — and the
+  // dump merges the rings oldest-first by completion time.
+  constexpr int kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 500;
+  ht::obs::FlightRecorder rec(2048);  // one ring could hold every record
+  std::vector<std::size_t> stripes(kWriters);
+  std::vector<std::uint16_t> threads(kWriters);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      stripes[w] = ht::obs::thread_stripe();
+      threads[w] = static_cast<std::uint16_t>(ht::obs::thread_index());
+      ready.fetch_add(1);
+      while (ready.load() < kWriters) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+        ht::obs::FlightRecord r;
+        r.thread = threads[w];
+        r.start_ns = rec.now_ns();
+        r.latency_ns = static_cast<std::uint64_t>(rec.now_ns() - r.start_ns);
+        rec.append(r);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  ASSERT_EQ(std::set<std::size_t>(stripes.begin(), stripes.end()).size(),
+            static_cast<std::size_t>(kWriters));
+  EXPECT_EQ(rec.recorded(), kWriters * kPerWriter);
+
+  const auto records = rec.dump();
+  ASSERT_EQ(records.size(), kWriters * kPerWriter);
+  EXPECT_TRUE(std::is_sorted(
+      records.begin(), records.end(),
+      [](const ht::obs::FlightRecord& a, const ht::obs::FlightRecord& b) {
+        return a.start_ns + static_cast<std::int64_t>(a.latency_ns) <
+               b.start_ns + static_cast<std::int64_t>(b.latency_ns);
+      }))
+      << "dump not oldest-first by completion time";
+  std::map<std::uint16_t, std::vector<std::uint64_t>> seqs;
+  for (const auto& r : records) seqs[r.thread].push_back(r.seq);
+  ASSERT_EQ(seqs.size(), static_cast<std::size_t>(kWriters));
+  for (int w = 0; w < kWriters; ++w) {
+    const auto& mine = seqs[threads[w]];
+    ASSERT_EQ(mine.size(), kPerWriter) << "writer " << w;
+    for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+      ASSERT_EQ(mine[i], i) << "writer " << w;
+    }
+  }
 }
 
 TEST(Metrics, PerfCountersAreRegistryBacked) {

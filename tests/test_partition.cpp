@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
@@ -96,6 +100,85 @@ TEST(SparsestCut, ExactOnTwoClusters) {
   EXPECT_DOUBLE_EQ(cut.cut, 1.0);
   EXPECT_EQ(cut.smaller_side.size(), 3u);
   EXPECT_NEAR(cut.sparsity, 1.0 / 3.0, 1e-9);
+}
+
+// The exact oracle's original enumeration, kept as its reference: per
+// subset a std::vector<bool> side, Hypergraph::cut_weight and a full
+// result, the first strict minimum kept.
+ht::partition::SparsestCutResult reference_sparsest_cut_exact(
+    const Hypergraph& h) {
+  const int n = h.num_vertices();
+  ht::partition::SparsestCutResult best;
+  if (n < 2) return best;
+  std::vector<bool> side(static_cast<std::size_t>(n), false);
+  for (std::uint32_t mask = 1; mask < (1u << (n - 1)); ++mask) {
+    for (int v = 0; v + 1 < n; ++v)
+      side[static_cast<std::size_t>(v)] = (mask >> v) & 1u;
+    ht::partition::SparsestCutResult cand;
+    std::int64_t count = 0;
+    for (bool b : side) count += b ? 1 : 0;
+    const bool smaller_is_side = 2 * count <= n;
+    for (VertexId v = 0; v < n; ++v)
+      if (side[static_cast<std::size_t>(v)] == smaller_is_side)
+        cand.smaller_side.push_back(v);
+    cand.cut = h.cut_weight(side);
+    cand.sparsity = cand.cut / static_cast<double>(cand.smaller_side.size());
+    cand.valid = !cand.smaller_side.empty() &&
+                 cand.smaller_side.size() < static_cast<std::size_t>(n);
+    if (cand.valid && (!best.valid || cand.sparsity < best.sparsity))
+      best = std::move(cand);
+  }
+  return best;
+}
+
+TEST(SparsestCut, ExactMatchesReferenceEnumerationBitForBit) {
+  // Random hypergraphs with n <= 14 and fractional weights, whose crossing
+  // sums round differently in another order; every third instance uses
+  // one weight throughout, and the cycles below, so that many subsets tie
+  // and the first minimum in mask order must win.
+  const double weights[] = {0.1, 0.25, 1.0 / 3.0, 0.7, 1.0, 2.5};
+  std::vector<Hypergraph> instances;
+  ht::Rng rng(2024);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 2 + trial % 13;
+    Hypergraph h(n);
+    const auto m = 1 + rng.next_below(static_cast<std::uint64_t>(3 * n));
+    const bool one_weight = trial % 3 == 0;
+    for (std::uint64_t e = 0; e < m; ++e) {
+      const auto size = 2 + rng.next_below(
+                                static_cast<std::uint64_t>(std::min(3, n - 1)));
+      std::vector<VertexId> pins;
+      for (std::uint64_t k = 0; k < size; ++k)
+        pins.push_back(static_cast<VertexId>(
+            rng.next_below(static_cast<std::uint64_t>(n))));
+      if (std::count(pins.begin(), pins.end(), pins[0]) ==
+          static_cast<std::ptrdiff_t>(pins.size()))
+        pins.push_back((pins[0] + 1) % n);
+      h.add_edge(pins, one_weight ? 0.1 : weights[rng.next_below(6)]);
+    }
+    h.finalize();
+    instances.push_back(std::move(h));
+  }
+  for (int n = 3; n <= 14; ++n) {
+    Hypergraph cycle(n);
+    for (VertexId v = 0; v < n; ++v) cycle.add_edge({v, (v + 1) % n}, 0.1);
+    cycle.finalize();
+    instances.push_back(std::move(cycle));
+  }
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Hypergraph& h = instances[i];
+    const auto want = reference_sparsest_cut_exact(h);
+    const auto got = ht::partition::sparsest_hyperedge_cut_exact(h);
+    ASSERT_TRUE(want.valid) << "instance " << i;
+    EXPECT_EQ(got.valid, want.valid) << "instance " << i;
+    EXPECT_EQ(got.smaller_side, want.smaller_side) << "instance " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cut),
+              std::bit_cast<std::uint64_t>(want.cut))
+        << "instance " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.sparsity),
+              std::bit_cast<std::uint64_t>(want.sparsity))
+        << "instance " << i;
+  }
 }
 
 TEST(SparsestCut, HeuristicNearExactOnSmall) {

@@ -302,7 +302,7 @@ TEST(TreeServer, FailedQueryAutoDumpsFlightRecords) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string json = buffer.str();
-  EXPECT_EQ(json.find("{\"version\":1,"), 0u);
+  EXPECT_EQ(json.find("{\"version\":2,"), 0u);
   EXPECT_NE(json.find("\"records\":["), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"min_cut\""), std::string::npos);
   std::remove(dump_path.c_str());
@@ -450,7 +450,7 @@ TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
       while (!stop_observer.load(std::memory_order_acquire)) {
         const std::string flight =
             ht::obs::FlightRecorder::global().dump_json();
-        EXPECT_EQ(flight.find("{\"version\":1,"), 0u);
+        EXPECT_EQ(flight.find("{\"version\":2,"), 0u);
         const std::string metrics =
             ht::obs::MetricsRegistry::global().snapshot_json();
         EXPECT_EQ(metrics.find("{\"version\":1,"), 0u);
