@@ -20,13 +20,25 @@ NodeId Tree::add_node(NodeId parent, double node_weight, double edge_weight) {
   } else {
     HT_CHECK(0 <= parent && parent < num_nodes());
   }
+  const auto id = static_cast<NodeId>(parent_.size());
   parent_.push_back(parent);
-  children_.emplace_back();
+  first_child_.push_back(-1);
+  last_child_.push_back(-1);
+  next_sibling_.push_back(-1);
   node_weight_.push_back(node_weight);
   edge_weight_.push_back(edge_weight);
-  const auto id = static_cast<NodeId>(parent_.size() - 1);
-  if (parent != -1) children_[static_cast<std::size_t>(parent)].push_back(id);
+  if (parent != -1) link_child(parent, id);
   return id;
+}
+
+void Tree::link_child(NodeId parent, NodeId child) {
+  const auto p = static_cast<std::size_t>(parent);
+  if (last_child_[p] == -1) {
+    first_child_[p] = child;
+  } else {
+    next_sibling_[static_cast<std::size_t>(last_child_[p])] = child;
+  }
+  last_child_[p] = child;
 }
 
 void Tree::set_vertex_node(VertexId vertex, NodeId node) {
@@ -85,13 +97,18 @@ StatusOr<Tree> Tree::from_arrays(std::span<const NodeId> parent,
     }
   }
   Tree out;
-  for (NodeId v = 0; v < n; ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    out.add_node(parent[idx], node_weight[idx], edge_weight[idx]);
-  }
-  out.reserve_vertices(static_cast<VertexId>(vertex_node.size()));
-  for (std::size_t i = 0; i < vertex_node.size(); ++i) {
-    out.set_vertex_node(static_cast<VertexId>(i), vertex_node[i]);
+  out.parent_.assign(parent.begin(), parent.end());
+  out.node_weight_.assign(node_weight.begin(), node_weight.end());
+  out.edge_weight_.assign(edge_weight.begin(), edge_weight.end());
+  out.vertex_node_.assign(vertex_node.begin(), vertex_node.end());
+  const auto size = static_cast<std::size_t>(n);
+  out.first_child_.assign(size, -1);
+  out.last_child_.assign(size, -1);
+  out.next_sibling_.assign(size, -1);
+  // Ascending v appends each child after its smaller siblings, exactly as
+  // add_node would have.
+  for (NodeId v = 1; v < n; ++v) {
+    out.link_child(parent[static_cast<std::size_t>(v)], v);
   }
   return out;
 }
@@ -181,8 +198,20 @@ double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
   // state that cannot. On-path children are folded in ascending id — the
   // order children() lists them in — so every remaining addition happens
   // in the order of the full bottom-up sweep.
-  std::vector<NodeId> a_nodes;
-  a_nodes.reserve(a.size());
+  //
+  // Scratch is per thread and only cleared, so a warm serving thread's
+  // set_cut allocates nothing.
+  struct Entry {
+    NodeId node;
+    std::int32_t tag;
+  };
+  thread_local std::vector<NodeId> a_nodes;
+  thread_local std::vector<Entry> heap;
+  thread_local std::vector<std::array<double, 4>> states;
+  thread_local std::vector<std::int32_t> kids;
+  a_nodes.clear();
+  heap.clear();
+  states.clear();
   for (VertexId v : a) {
     const NodeId node = t.node_of_vertex(v);
     HT_CHECK(node != -1);
@@ -196,15 +225,9 @@ double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
   // popping in descending id finishes every child before its parent.
   constexpr std::int32_t kSeedA = -1;
   constexpr std::int32_t kSeedB = -2;
-  struct Entry {
-    NodeId node;
-    std::int32_t tag;
-  };
   const auto lower = [](const Entry& x, const Entry& y) {
     return x.node < y.node;
   };
-  std::vector<Entry> heap;
-  heap.reserve(a_nodes.size() + b.size());
   for (NodeId node : a_nodes) heap.push_back({node, kSeedA});
   for (VertexId v : b) {
     const NodeId node = t.node_of_vertex(v);
@@ -215,8 +238,7 @@ double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
   }
   std::make_heap(heap.begin(), heap.end(), lower);
 
-  std::vector<std::array<double, 4>> states;  // finished, descending id
-  std::vector<std::int32_t> kids;
+  // `states` holds the finished nodes, in descending id.
   while (!heap.empty()) {
     const NodeId v = heap.front().node;
     std::int8_t own = 0;

@@ -8,7 +8,9 @@
 // in tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +28,56 @@ using VertexId = std::int32_t;
 /// nodes are never selected into minimum cuts yet arithmetic stays finite.
 inline constexpr double kInfiniteNodeWeight = 1e15;
 
+/// The children of one node, in ascending id: a forward range over the
+/// tree's sibling list. It points into the tree, so it must not outlive
+/// the tree or be kept across add_node.
+class ChildRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = NodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = NodeId;
+
+    iterator() = default;
+    iterator(const NodeId* next_sibling, NodeId node)
+        : next_sibling_(next_sibling), node_(node) {}
+    NodeId operator*() const { return node_; }
+    iterator& operator++() {
+      node_ = next_sibling_[static_cast<std::size_t>(node_)];
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const iterator& other) const {
+      return node_ == other.node_;
+    }
+
+   private:
+    const NodeId* next_sibling_ = nullptr;
+    NodeId node_ = -1;
+  };
+
+  ChildRange(const NodeId* next_sibling, NodeId first)
+      : next_sibling_(next_sibling), first_(first) {}
+  iterator begin() const { return {next_sibling_, first_}; }
+  iterator end() const { return {next_sibling_, -1}; }
+  bool empty() const { return first_ == -1; }
+  /// O(number of children).
+  std::size_t size() const {
+    return static_cast<std::size_t>(std::distance(begin(), end()));
+  }
+
+ private:
+  const NodeId* next_sibling_;
+  NodeId first_;
+};
+
 class Tree {
  public:
   Tree() = default;
@@ -37,8 +89,10 @@ class Tree {
   NodeId num_nodes() const { return static_cast<NodeId>(parent_.size()); }
   NodeId root() const { return root_; }
   NodeId parent(NodeId v) const { return parent_[static_cast<std::size_t>(v)]; }
-  const std::vector<NodeId>& children(NodeId v) const {
-    return children_[static_cast<std::size_t>(v)];
+  /// v's children in ascending id — the order every tree DP folds them
+  /// in, which makes that order part of each DP's floating-point result.
+  ChildRange children(NodeId v) const {
+    return {next_sibling_.data(), first_child_[static_cast<std::size_t>(v)]};
   }
 
   double node_weight(NodeId v) const {
@@ -83,7 +137,10 @@ class Tree {
   /// equal array lengths, every vertex embedded at a valid node — plus
   /// the cut DPs' precondition that every node and edge weight is >= +0.0
   /// (negative, -0.0 and NaN weights are refused), and returns
-  /// kInvalidArgument instead of crashing on violations.
+  /// kInvalidArgument instead of crashing on violations. Copies the four
+  /// arrays and links the sibling lists in one pass: a constant number of
+  /// allocations whatever the tree's size, and the same tree (children
+  /// included) as add_node over the same arrays.
   static StatusOr<Tree> from_arrays(std::span<const NodeId> parent,
                                     std::span<const double> node_weight,
                                     std::span<const double> edge_weight,
@@ -98,8 +155,17 @@ class Tree {
   void validate() const;
 
  private:
+  /// Appends `child` to the end of `parent`'s sibling list.
+  void link_child(NodeId parent, NodeId child);
+
+  // Flat per-node arrays, indexed by node id. Children form an intrusive
+  // singly linked list (first_child_ -> next_sibling_ ... -> -1) kept in
+  // ascending id: a node's id exceeds every earlier node's, so add_node
+  // appends at last_child_ in O(1) and the order holds by construction.
   std::vector<NodeId> parent_;
-  std::vector<std::vector<NodeId>> children_;
+  std::vector<NodeId> first_child_;
+  std::vector<NodeId> last_child_;
+  std::vector<NodeId> next_sibling_;
   std::vector<double> node_weight_;
   std::vector<double> edge_weight_;
   std::vector<NodeId> vertex_node_;

@@ -100,7 +100,9 @@ struct Solver {
     auto dp0 = base(v);
     std::vector<std::vector<double>> steps;
     steps.push_back(dp0[static_cast<std::size_t>(state)]);
-    const auto& kids = t.children(v);
+    // Copied: the backtrack below walks the children in reverse.
+    const auto range = t.children(v);
+    const std::vector<NodeId> kids(range.begin(), range.end());
     for (NodeId c : kids) {
       const auto csub = sub[static_cast<std::size_t>(c)];
       const auto& cur = steps.back();

@@ -84,7 +84,9 @@ struct Solver {
       base[static_cast<std::size_t>(side == 1 ? own : 0)] = 0.0;
       steps.push_back(std::move(base));
     }
-    const auto& kids = t.children(v);
+    // Copied: the backtrack below walks the children in reverse.
+    const auto range = t.children(v);
+    const std::vector<NodeId> kids(range.begin(), range.end());
     for (NodeId c : kids) {
       const auto& dc = dp[static_cast<std::size_t>(c)];
       const double ew = t.edge_weight(c);

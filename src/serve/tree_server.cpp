@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -15,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "prep/prep.hpp"
+#include "serve/snapshot_writer.hpp"
 
 namespace ht {
 
@@ -24,17 +24,16 @@ namespace {
 
 using snapshot::SectionKind;
 
-/// BFS over parent pointers from `root`: exactly one -1 (at the root),
-/// every other parent in range, and the whole forest reachable — i.e. the
-/// arrays really encode one rooted tree, not a cycle or a forest.
+/// Exactly one -1 (at the root), every other parent in range, and every
+/// vertex's parent chain ending at the root — i.e. the arrays really
+/// encode one rooted tree, not a cycle or a forest. O(n) with one state
+/// byte per vertex and no per-vertex allocation.
 Status validate_rooted_parent(std::span<const std::int32_t> parent,
                               std::int32_t root, const char* what) {
   const auto n = static_cast<std::int32_t>(parent.size());
   if (root < 0 || root >= n) {
     return Status::InvalidArgument(std::string(what) + ": root out of range");
   }
-  std::vector<std::vector<std::int32_t>> children(
-      static_cast<std::size_t>(n));
   for (std::int32_t v = 0; v < n; ++v) {
     const std::int32_t p = parent[static_cast<std::size_t>(v)];
     if (v == root) {
@@ -48,21 +47,27 @@ Status validate_rooted_parent(std::span<const std::int32_t> parent,
       return Status::InvalidArgument(std::string(what) +
                                      ": parent out of range");
     }
-    children[static_cast<std::size_t>(p)].push_back(v);
   }
-  std::vector<std::int32_t> stack{root};
-  std::int32_t visited = 0;
-  while (!stack.empty()) {
-    const std::int32_t v = stack.back();
-    stack.pop_back();
-    ++visited;
-    for (std::int32_t c : children[static_cast<std::size_t>(v)]) {
-      stack.push_back(c);
+  // Climb from each vertex until a vertex known to reach the root; a walk
+  // that meets itself is on a cycle. Every vertex is marked on-walk once
+  // and reaches-root once.
+  enum : std::uint8_t { kUnseen, kOnWalk, kReachesRoot };
+  std::vector<std::uint8_t> state(static_cast<std::size_t>(n), kUnseen);
+  const auto at = [&](std::int32_t v) -> std::uint8_t& {
+    return state[static_cast<std::size_t>(v)];
+  };
+  const auto up = [&](std::int32_t v) {
+    return parent[static_cast<std::size_t>(v)];
+  };
+  at(root) = kReachesRoot;
+  for (std::int32_t v = 0; v < n; ++v) {
+    std::int32_t u = v;
+    for (; at(u) == kUnseen; u = up(u)) at(u) = kOnWalk;
+    if (at(u) == kOnWalk) {
+      return Status::InvalidArgument(std::string(what) +
+                                     ": parent pointers are not a tree");
     }
-  }
-  if (visited != n) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": parent pointers are not a tree");
+    for (u = v; at(u) == kOnWalk; u = up(u)) at(u) = kReachesRoot;
   }
   return Status::Ok();
 }
@@ -400,6 +405,9 @@ struct ServerShared {
   ReaderStripe stripes[obs::kStripes];
   obs::Counter queries;
   std::atomic<std::uint64_t> swaps{0};
+  /// Earliest recorder time (ns) of the next on-error flight dump;
+  /// kDumping while one is being written.
+  std::atomic<std::int64_t> next_dump_ns{0};
 
   std::int64_t readers(int parity) const {
     std::int64_t total = 0;
@@ -426,6 +434,26 @@ struct ServerShared {
     retired.store(false);
     lock.unlock();
     // `dead` unmaps here, outside the lock (pinned handles may keep it).
+  }
+
+  /// Writes the flight dump for a query that failed at recorder time
+  /// `now_ns`, at most once per kDumpWindowNs: only the failure that finds
+  /// the window open and wins the compare-exchange writes, and kDumping
+  /// keeps every other failure out until it is done. Skipped failures
+  /// show up in the next dump.
+  void dump_flight(std::int64_t now_ns) {
+    static constexpr std::int64_t kDumpWindowNs = 1'000'000'000;
+    static constexpr std::int64_t kDumping =
+        std::numeric_limits<std::int64_t>::max();
+    std::int64_t due = next_dump_ns.load(std::memory_order_relaxed);
+    if (now_ns < due || !next_dump_ns.compare_exchange_strong(due, kDumping)) {
+      return;
+    }
+    auto& recorder = obs::FlightRecorder::global();
+    // Best effort: a failed write leaves the previous dump in place.
+    (void)snapshot::write_bytes_atomic(options.flight_dump_path,
+                                       recorder.dump_json() + '\n');
+    next_dump_ns.store(recorder.now_ns() + kDumpWindowNs);
   }
 };
 
@@ -535,9 +563,7 @@ struct QueryObserver {
       recorder.append(record);
     }
     if (code != StatusCode::kOk && !options.flight_dump_path.empty()) {
-      std::ofstream out(options.flight_dump_path,
-                        std::ios::binary | std::ios::trunc);
-      if (out) out << recorder.dump_json() << '\n';
+      shared.dump_flight(start_ns + static_cast<std::int64_t>(latency_ns));
     }
     if (latency_ns > options.slow_query_ns) {
       metrics.slow_queries.add();
@@ -726,7 +752,9 @@ StatusOr<TreeServer::SetCutAnswer> TreeServer::set_cut(
           Status::InvalidArgument("set_cut vertex out of range"));
     }
   }
-  std::vector<std::int32_t> sorted_a(a);
+  // Per-thread scratch, so a warm set_cut allocates nothing.
+  thread_local std::vector<std::int32_t> sorted_a;
+  sorted_a.assign(a.begin(), a.end());
   std::sort(sorted_a.begin(), sorted_a.end());
   for (std::int32_t v : b) {
     if (v < 0 || v >= n) {

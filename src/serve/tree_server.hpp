@@ -62,10 +62,14 @@ namespace serve {
 /// slow_query_ns additionally record a "serve.slow_query" trace span
 /// carrying the same fields as span args (tracing must be enabled to see
 /// them; the span is timing-dependent by design, unlike the deterministic
-/// serve.* spans). When flight_dump_path is non-empty, any query that
+/// serve.* spans). When flight_dump_path is non-empty, a query that
 /// finishes non-ok rewrites that file with the recorder's JSON dump — a
 /// post-mortem of the last `capacity` queries of each ring, merged by
-/// completion time, leading up to the error.
+/// completion time, leading up to the error. The rewrite runs on the
+/// failing query's thread, at most once a second per server and never
+/// two at once: the first failure of a burst dumps, and later ones show
+/// up in the next dump after the window. Each dump is written to a tmp
+/// file and renamed over the path, so readers never see a partial file.
 struct ServeOptions {
   bool flight_recorder = true;
   std::uint64_t slow_query_ns = 100'000'000;  // 100 ms
@@ -73,8 +77,9 @@ struct ServeOptions {
 };
 
 /// One fully validated, immutable serving epoch. The hypergraph CSR is
-/// served zero-copy out of the mapping; the O(n) tree structures are
-/// validated and materialized once at load so every query can run the
+/// served zero-copy out of the mapping; each tree's flat arrays are
+/// validated and copied once at load (Tree::from_arrays, a fixed number
+/// of allocations per tree whatever its size), so every query can run the
 /// existing (tested) tree DPs without touching the file again.
 ///
 /// Preprocessed snapshots (kPrepMeta present) store the REDUCED instance;

@@ -13,6 +13,7 @@
 #include "cuttree/quality.hpp"
 #include "cuttree/tree.hpp"
 #include "cuttree/tree_bisection.hpp"
+#include "cuttree/tree_edge_partition.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
@@ -668,6 +669,117 @@ TEST(TreeFromArrays, RejectsNegativeOrNanWeights) {
     }
   }
   EXPECT_TRUE(Tree::from_arrays(parent, good, good, vertex_node).ok());
+}
+
+TEST(Tree, FromArraysMatchesAddNode) {
+  // The loader links its sibling lists in one pass; the builders append
+  // one node at a time. Both must give the same tree, the same ascending
+  // children, and so the same DP answers, bit for bit.
+  enum class Shape { kStar, kPath, kCaterpillar, kRandom };
+  ht::Rng rng(4242);
+  for (const Shape shape :
+       {Shape::kStar, Shape::kPath, Shape::kCaterpillar, Shape::kRandom}) {
+    for (const NodeId nodes : {1, 2, 7, 64, 2000}) {
+      std::vector<NodeId> parent(static_cast<std::size_t>(nodes));
+      std::vector<double> node_weight(parent.size());
+      std::vector<double> edge_weight(parent.size());
+      for (NodeId v = 0; v < nodes; ++v) {
+        NodeId p = -1;
+        if (v > 0) {
+          switch (shape) {
+            case Shape::kStar: p = 0; break;
+            case Shape::kPath: p = v - 1; break;
+            case Shape::kCaterpillar:  // even spine, one odd leg each
+              p = v % 2 == 0 ? v - 2 : v - 1;
+              break;
+            case Shape::kRandom:
+              p = static_cast<NodeId>(rng.next_below(
+                  static_cast<std::uint64_t>(v)));
+              break;
+          }
+        }
+        const auto idx = static_cast<std::size_t>(v);
+        parent[idx] = p;
+        node_weight[idx] = rng.next_double() * 10.0;
+        edge_weight[idx] = v == 0 ? 0.0 : rng.next_double() * 10.0;
+      }
+      // An even number of vertices, several per node on larger trees.
+      const auto vertices = static_cast<VertexId>(2 * (1 + nodes / 4));
+      std::vector<NodeId> vertex_node(static_cast<std::size_t>(vertices));
+      for (NodeId& node : vertex_node) {
+        node = static_cast<NodeId>(rng.next_below(
+            static_cast<std::uint64_t>(nodes)));
+      }
+
+      Tree added;
+      for (NodeId v = 0; v < nodes; ++v) {
+        const auto idx = static_cast<std::size_t>(v);
+        added.add_node(parent[idx], node_weight[idx], edge_weight[idx]);
+      }
+      added.reserve_vertices(vertices);
+      for (VertexId v = 0; v < vertices; ++v) {
+        added.set_vertex_node(v, vertex_node[static_cast<std::size_t>(v)]);
+      }
+      const auto loaded =
+          Tree::from_arrays(parent, node_weight, edge_weight, vertex_node);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+      const std::string where = "shape " +
+                                std::to_string(static_cast<int>(shape)) +
+                                ", " + std::to_string(nodes) + " nodes";
+      ASSERT_EQ(ht::cuttree::tree_signature(*loaded),
+                ht::cuttree::tree_signature(added))
+          << where;
+
+      // Children: ascending, and exactly the nodes naming v as parent.
+      std::vector<std::vector<NodeId>> expected(parent.size());
+      for (NodeId v = 1; v < nodes; ++v) {
+        expected[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])]
+            .push_back(v);
+      }
+      for (NodeId v = 0; v < nodes; ++v) {
+        const auto& want = expected[static_cast<std::size_t>(v)];
+        for (const Tree* t : std::array<const Tree*, 2>{&added, &*loaded}) {
+          const auto range = t->children(v);
+          ASSERT_EQ(std::vector<NodeId>(range.begin(), range.end()), want)
+              << where << ", node " << v;
+          ASSERT_EQ(range.size(), want.size());
+          ASSERT_EQ(range.empty(), want.empty());
+        }
+      }
+
+      std::vector<VertexId> a, b;
+      for (int q = 0; q < 8; ++q) {
+        if (!random_terminal_sets(*loaded, vertices, rng, a, b)) continue;
+        EXPECT_TRUE(same_bits(ht::cuttree::tree_vertex_cut_dp(*loaded, a, b),
+                              ht::cuttree::tree_vertex_cut_dp(added, a, b)))
+            << where << ", vertex cut query " << q;
+        EXPECT_TRUE(same_bits(ht::cuttree::tree_edge_cut_dp(*loaded, a, b),
+                              ht::cuttree::tree_edge_cut_dp(added, a, b)))
+            << where << ", edge cut query " << q;
+      }
+      std::vector<VertexId> counted(static_cast<std::size_t>(vertices));
+      for (VertexId v = 0; v < vertices; ++v) {
+        counted[static_cast<std::size_t>(v)] = v;
+      }
+      const auto bisect_loaded =
+          ht::cuttree::balanced_tree_bisection(*loaded, counted);
+      const auto bisect_added =
+          ht::cuttree::balanced_tree_bisection(added, counted);
+      ASSERT_TRUE(bisect_loaded.valid) << where;
+      EXPECT_EQ(bisect_loaded.side, bisect_added.side) << where;
+      EXPECT_TRUE(same_bits(bisect_loaded.tree_cut, bisect_added.tree_cut))
+          << where;
+      const std::int64_t target = vertices / 3;
+      const auto part_loaded =
+          ht::cuttree::tree_edge_partition(*loaded, counted, target);
+      const auto part_added =
+          ht::cuttree::tree_edge_partition(added, counted, target);
+      ASSERT_TRUE(part_loaded.valid) << where;
+      EXPECT_EQ(part_loaded.side, part_added.side) << where;
+      EXPECT_TRUE(same_bits(part_loaded.tree_cut, part_added.tree_cut))
+          << where;
+    }
+  }
 }
 
 TEST(TreeFromArrays, LiftVerticesReembedsThroughAContractionMap) {

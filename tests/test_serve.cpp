@@ -18,6 +18,7 @@
 #include "flow/cut_engine.hpp"
 #include "hypergraph/generators.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "json_check.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -305,6 +306,71 @@ TEST(TreeServer, FailedQueryAutoDumpsFlightRecords) {
   EXPECT_EQ(json.find("{\"version\":2,"), 0u);
   EXPECT_NE(json.find("\"records\":["), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"min_cut\""), std::string::npos);
+  std::remove(dump_path.c_str());
+  std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(TreeServer, FailedQueryBurstDumpsOncePerWindow) {
+  const auto h = make_instance(25);
+  const std::string path = write_snapshot(h, "serve_burst.htsnap");
+  const std::string dump_path = testing::TempDir() + "serve_burst.json";
+  std::remove(dump_path.c_str());
+  ht::serve::ServeOptions options;
+  options.flight_dump_path = dump_path;
+  auto server = ht::TreeServer::open(path, options);
+  ASSERT_TRUE(server.ok());
+
+  // The first failure of a burst dumps; the rest of its window does not.
+  EXPECT_FALSE(server->min_cut(0, 0).ok());
+  ASSERT_TRUE(std::ifstream(dump_path).good());
+  std::remove(dump_path.c_str());
+  for (int i = 0; i < 200; ++i) EXPECT_FALSE(server->min_cut(0, 0).ok());
+  EXPECT_FALSE(std::ifstream(dump_path).good())
+      << "a failure inside the window rewrote the dump";
+  // After the window, the next failure dumps again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1100));
+  EXPECT_FALSE(server->min_cut(0, 0).ok());
+  const std::string json = read_file(dump_path);
+  EXPECT_TRUE(ht::obs::json_parses(json)) << json.substr(0, 200);
+  EXPECT_EQ(json.find("{\"version\":2,"), 0u);
+  std::remove(dump_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(TreeServer, ConcurrentFailedQueriesLeaveOneWholeDump) {
+  const auto h = make_instance(26);
+  const std::string path = write_snapshot(h, "serve_burst4.htsnap");
+  const std::string dump_path = testing::TempDir() + "serve_burst4.json";
+  // A fresh server per round starts with an open window, so four threads
+  // failing at once race for the dump every round.
+  for (int round = 0; round < 8; ++round) {
+    std::remove(dump_path.c_str());
+    ht::serve::ServeOptions options;
+    options.flight_dump_path = dump_path;
+    auto server = ht::TreeServer::open(path, options);
+    ASSERT_TRUE(server.ok());
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < 4) std::this_thread::yield();
+        for (int i = 0; i < 50; ++i) EXPECT_FALSE(server->min_cut(0, 0).ok());
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    const std::string json = read_file(dump_path);
+    EXPECT_TRUE(ht::obs::json_parses(json))
+        << "round " << round << ": " << json.substr(0, 200);
+    EXPECT_EQ(json.find("{\"version\":2,"), 0u) << "round " << round;
+  }
   std::remove(dump_path.c_str());
   std::remove(path.c_str());
 }

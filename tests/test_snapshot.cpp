@@ -640,6 +640,73 @@ TEST_F(SnapshotCorpus, SemanticGomoryHuCycle) {
   EXPECT_FALSE(loaded.ok());
 }
 
+// Gomory–Hu parent shapes. Each case rewrites the fixture's parent array
+// (16 vertices) through `edit(parent, n, root, other)`, where other(i) is
+// the i-th non-root vertex, then re-signs the image and loads it.
+template <typename Edit>
+ht::Status load_with_gh_parents(std::string bytes, Edit edit) {
+  const auto* meta = reinterpret_cast<const ht::snapshot::MetaBlock*>(
+      bytes.data() + find_section(bytes, SectionKind::kMeta)->offset);
+  const std::int32_t n = meta->num_vertices;
+  const std::int32_t root = meta->gh_root;
+  auto* parent = reinterpret_cast<std::int32_t*>(
+      bytes.data() + find_section(bytes, SectionKind::kGhParent)->offset);
+  const auto other = [root](std::int32_t i) { return i < root ? i : i + 1; };
+  edit(parent, n, root, other);
+  resign(bytes);
+  auto snap = ht::snapshot::open_bytes(std::move(bytes));
+  if (!snap.ok()) return snap.status();
+  auto loaded = ht::serve::LoadedSnapshot::load(std::move(*snap));
+  return loaded.ok() ? ht::Status::Ok() : loaded.status();
+}
+
+TEST_F(SnapshotCorpus, SemanticGomoryHuShapesThatAreNotTrees) {
+  const auto expect_not_a_tree = [](const ht::Status& status,
+                                    const char* what) {
+    EXPECT_FALSE(status.ok()) << "loader accepted " << what;
+    EXPECT_NE(status.message().find("not a tree"), std::string::npos)
+        << what << ": " << status.to_string();
+  };
+  expect_not_a_tree(
+      load_with_gh_parents(bytes_,
+                           [](std::int32_t* parent, std::int32_t, std::int32_t,
+                              auto other) { parent[other(5)] = other(5); }),
+      "a self-parent");
+  expect_not_a_tree(
+      load_with_gh_parents(bytes_,
+                           [](std::int32_t* parent, std::int32_t, std::int32_t,
+                              auto other) {
+                             parent[other(2)] = other(7);
+                             parent[other(7)] = other(11);
+                             parent[other(11)] = other(2);
+                           }),
+      "a 3-cycle");
+  expect_not_a_tree(
+      load_with_gh_parents(bytes_,
+                           [](std::int32_t* parent, std::int32_t, std::int32_t,
+                              auto other) {
+                             parent[other(3)] = other(4);
+                             parent[other(4)] = other(3);
+                             parent[other(9)] = other(10);
+                             parent[other(10)] = other(3);
+                           }),
+      "a tail hanging off a detached cycle");
+}
+
+TEST_F(SnapshotCorpus, GomoryHuChainEndingAtTheRootLoads) {
+  // The deepest shape: every vertex's parent is the next non-root vertex,
+  // and the last one hangs off the root.
+  const ht::Status status = load_with_gh_parents(
+      bytes_, [](std::int32_t* parent, std::int32_t n, std::int32_t root,
+                 auto other) {
+        for (std::int32_t i = 0; i + 1 < n - 1; ++i) {
+          parent[other(i)] = other(i + 1);
+        }
+        parent[other(n - 2)] = root;
+      });
+  EXPECT_TRUE(status.ok()) << status.to_string();
+}
+
 TEST_F(SnapshotCorpus, SemanticTreeParentOrderViolation) {
   std::string mutated = bytes_;
   const auto* section = find_section(mutated, SectionKind::kVctParent);
