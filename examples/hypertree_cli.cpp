@@ -6,7 +6,7 @@
 //                     [--quiet]
 //   $ ./hypertree_cli build-snapshot <file.hmetis> <out.htsnap>
 //                     [--seed=S] [--deadline-ms=N] [--threads=N]
-//                     [--build-info=TEXT] [--prep=off|exact|aggressive]
+//                     [--build-info=TEXT] [--prep=off|exact]
 //                     [--shards=K] [--memory-budget-mb=M] [--resident=B]
 //                     [--temp-dir=DIR]
 //   $ ./hypertree_cli serve <snapshot.htsnap> [--deadline-ms=N]
@@ -26,9 +26,11 @@
 //
 // serve reads one query per line from stdin and answers on stdout:
 //   minc <s> <t>   min s-t hyperedge cut (Gomory-Hu tree walk); tagged
-//                  exact / dominating (sharded tree) / lower-bound
+//                  exact / dominating (sharded tree or heavy-contraction
+//                  prep) / lower-bound (truncated build) / estimate
+//                  (a snapshot with lossy prep stage bits)
 //   gmin           global min cut (min over Gomory-Hu tree edges);
-//                  tagged exact / dominating / lower-bound
+//                  tagged exact / dominating / lower-bound / estimate
 
 //   setcut <a_csv> <b_csv>  dominating delta_H(A, B) estimate (Lemma 7
 //                  vertex-cut-tree DP); sides are comma-separated ids
@@ -104,7 +106,7 @@ bool parse(int argc, char** argv, Options& out) {
       out.build_info = arg.substr(13);
     } else if (arg.rfind("--prep=", 0) == 0) {
       if (!ht::prep::parse_mode(arg.substr(7), &out.prep.mode)) {
-        std::cerr << "unknown --prep mode (want off|exact|aggressive): "
+        std::cerr << "unknown --prep mode (want off|exact): "
                   << arg << "\n";
         return false;
       }
@@ -231,7 +233,6 @@ int run_build_snapshot(const Options& options) {
             << " prep=" << ht::prep::mode_name(options.prep.mode)
             << " stored_n=" << report.stored_vertices
             << " stored_m=" << report.stored_edges
-            << " prep_exact=" << (report.prep_exact ? 1 : 0)
             << " threads=" << solver.context().threads
             << " status=" << status.code_name() << "\n";
   return 0;
@@ -251,6 +252,17 @@ bool parse_id_csv(const std::string& text, std::vector<std::int32_t>& out) {
     out.push_back(static_cast<std::int32_t>(value));
   }
   return !out.empty();
+}
+
+/// The tag a served cut value prints with. Neither exact nor dominating
+/// means a lower bound from a truncated build, or an estimate when the
+/// snapshot carries lossy prep stage bits.
+const char* cut_label(const ht::TreeServer::MinCutAnswer& answer,
+                      const ht::TreeServer& server) {
+  if (answer.exact) return "exact";
+  if (answer.dominating) return "dominating";
+  const auto info = server.info();
+  return info.preprocessed && !info.prep_exact ? "estimate" : "lower-bound";
 }
 
 int run_serve(const Options& options) {
@@ -322,22 +334,16 @@ int run_serve(const Options& options) {
       if (!answer.has_value()) {
         std::cout << "error " << answer.status().to_string() << "\n";
       } else {
-        std::cout << "minc " << answer->value
-                  << (answer->exact        ? " exact"
-                      : answer->dominating ? " dominating"
-                                           : " lower-bound")
-                  << "\n";
+        std::cout << "minc " << answer->value << " "
+                  << cut_label(*answer, *server) << "\n";
       }
     } else if (cmd == "gmin") {
       const auto answer = server->global_min_cut(ctx);
       if (!answer.has_value()) {
         std::cout << "error " << answer.status().to_string() << "\n";
       } else {
-        std::cout << "gmin " << answer->value
-                  << (answer->exact        ? " exact"
-                      : answer->dominating ? " dominating"
-                                           : " lower-bound")
-                  << "\n";
+        std::cout << "gmin " << answer->value << " "
+                  << cut_label(*answer, *server) << "\n";
       }
     } else if (cmd == "setcut") {
       std::string a_csv, b_csv;
@@ -475,7 +481,7 @@ int main(int argc, char** argv) {
            "[--deadline-ms=N] [--threads=N] [--quiet]\n"
            "       hypertree_cli build-snapshot <file.hmetis> <out.htsnap> "
            "[--seed=S] [--deadline-ms=N] [--threads=N] [--build-info=TEXT] "
-           "[--prep=off|exact|aggressive] [--shards=K] "
+           "[--prep=off|exact] [--shards=K] "
            "[--memory-budget-mb=M] [--resident=B] [--temp-dir=DIR]\n"
            "       hypertree_cli serve <snapshot.htsnap> [--deadline-ms=N] "
            "[--threads=N] [--slow-query-us=N] [--flight-dump=FILE] "

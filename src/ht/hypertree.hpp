@@ -43,8 +43,7 @@
 #include "reduction/mku_bisection.hpp"
 #include "reduction/star_expansion.hpp"
 
-// Staged preprocessing (kernelization + cut sparsification) with id
-// lifting.
+// Exact preprocessing (kernelization) with id lifting.
 #include "prep/prep.hpp"
 
 // Persistence + serving: .htsnap snapshots and the TreeServer query
@@ -125,12 +124,11 @@ class Solver {
   StatusOr<flow::HypergraphGomoryHuRunResult> gomory_hu(
       const hypergraph::Hypergraph& h);
 
-  /// Runs the staged preprocessing pipeline (kernelization, and under
-  /// Mode::kAggressive label-propagation contraction + cut
-  /// sparsification) on a finalized hypergraph. The result carries the
-  /// reduced instance plus the composed original -> reduced Lifting and
-  /// per-stage provenance. Anytime: a deadline mid-pipeline keeps the
-  /// stages already applied (always a valid, consistent instance).
+  /// Runs the exact kernelization pipeline on a finalized hypergraph. The
+  /// result carries the reduced instance, the composed original ->
+  /// reduced Lifting and the stage flags of the rules that fired.
+  /// Anytime: a deadline mid-pipeline keeps the rounds already applied
+  /// (always a valid, consistent instance).
   StatusOr<prep::PrepResult> preprocess(const hypergraph::Hypergraph& h,
                                         prep::PrepConfig config = {});
 

@@ -67,7 +67,6 @@ StatusOr<core::BisectionReport> Solver::bisect_via_cut_tree(
 
 StatusOr<prep::PrepResult> Solver::preprocess(const hypergraph::Hypergraph& h,
                                               prep::PrepConfig config) {
-  if (ctx_.seed.has_value()) config.sparsify.seed = *ctx_.seed;
   prepare_pool();
   RunScope scope(ctx_);
   return prep::run_pipeline(h, config);

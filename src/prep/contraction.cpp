@@ -6,22 +6,6 @@
 
 namespace ht::prep {
 
-ContractionMap ContractionMap::identity(VertexId n) {
-  ContractionMap out;
-  out.cluster_of.resize(static_cast<std::size_t>(n));
-  std::iota(out.cluster_of.begin(), out.cluster_of.end(), 0);
-  out.num_clusters = n;
-  return out;
-}
-
-bool ContractionMap::is_identity() const {
-  if (num_clusters != static_cast<VertexId>(cluster_of.size())) return false;
-  for (std::size_t v = 0; v < cluster_of.size(); ++v) {
-    if (cluster_of[v] != static_cast<VertexId>(v)) return false;
-  }
-  return true;
-}
-
 Lifting Lifting::identity(VertexId n) {
   Lifting out;
   out.to_reduced_.resize(static_cast<std::size_t>(n));

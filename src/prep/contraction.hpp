@@ -1,16 +1,17 @@
-// Vertex-id bookkeeping for the preprocessing pipeline.
+// Vertex-id bookkeeping for preprocessing.
 //
-// Every prep stage maps its input hypergraph to a (possibly) contracted
-// output hypergraph and reports the vertex mapping as a ContractionMap.
-// A Lifting is the composition of those maps across the whole pipeline:
-// one flat original-id -> reduced-id array that downstream layers (the
+// Every contracting kernelization round maps its input hypergraph to a
+// contracted output and reports the vertex mapping as a ContractionMap.
+// A Lifting is the composition of those maps across the whole run: one
+// flat original-id -> reduced-id array that downstream layers (the
 // snapshot builder, TreeServer) use to keep answering in ORIGINAL vertex
-// ids no matter how many stages fired. The invariant, checked by tests:
+// ids no matter how many rounds fired. The invariant, checked by tests:
 //
 //   lift(answer on reduced instance) == answer on original instance
 //
-// for every contraction-based exact rule, and "dominating estimate" for
-// the lossy rules (label propagation, sparsification).
+// for the global min-cut value under every rule, and for every cut under
+// the cut-preserving rules; heavy contraction only removes cuts, so a
+// lifted s-t cut value never under-reports (dominating).
 #pragma once
 
 #include <cstdint>
@@ -23,18 +24,15 @@ namespace ht::prep {
 
 using hypergraph::VertexId;
 
-/// One stage's vertex map: input vertex -> output cluster, clusters dense
-/// in [0, num_clusters). Stages that only touch edges return identity().
+/// One round's vertex map: input vertex -> output cluster, clusters dense
+/// in [0, num_clusters).
 struct ContractionMap {
   std::vector<VertexId> cluster_of;
   VertexId num_clusters = 0;
-
-  static ContractionMap identity(VertexId n);
-  bool is_identity() const;
 };
 
-/// The composed original -> reduced map for a whole pipeline. Starts as
-/// identity over the original vertex set; compose() folds in each stage's
+/// The composed original -> reduced map for a whole run. Starts as
+/// identity over the original vertex set; compose() folds in each round's
 /// ContractionMap as it is applied.
 class Lifting {
  public:

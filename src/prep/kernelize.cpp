@@ -77,116 +77,86 @@ Hypergraph drop_zero_edges(const Hypergraph& h) {
   return out;
 }
 
-class KernelizeStage final : public PrepStage {
- public:
-  explicit KernelizeStage(KernelizeOptions options) : options_(options) {}
+}  // namespace
 
-  const char* name() const override { return "kernelize"; }
-  bool exact() const override { return true; }
+void kernelize(PrepResult& result) {
+  // Fixpoint cap; each round is one contract() pass.
+  constexpr std::int32_t kMaxRounds = 8;
+  obs::TraceSpan span("prep.kernelize");
+  RunState* run = current_run_state();
+  Hypergraph& current = result.reduced;
+  std::vector<Weight> degree;
+  auto& metrics = obs::MetricsRegistry::global();
 
-  Status apply(const Hypergraph& in, StageResult& out) const override {
-    obs::TraceSpan span("prep.kernelize");
-    out = StageResult{};
-    out.map = ContractionMap::identity(in.num_vertices());
-    RunState* run = current_run_state();
+  for (std::int32_t round = 0; round < kMaxRounds; ++round) {
+    if (run != nullptr && !run->check().ok()) break;
+    const VertexId n = current.num_vertices();
+    const EdgeId m = current.num_edges();
+    if (n < 2) break;
 
-    // `current` tracks the shrinking instance; `in` is only read.
-    Hypergraph storage;
-    const Hypergraph* current = &in;
-    std::vector<Weight> degree;
-    auto& metrics = obs::MetricsRegistry::global();
-
-    for (std::int32_t round = 0; round < options_.max_rounds; ++round) {
-      if (run != nullptr && !run->check().ok()) break;
-      const VertexId n = current->num_vertices();
-      const EdgeId m = current->num_edges();
-      if (n < 2) break;
-
-      // Rule 1: zero-weight hyperedges can never contribute to a cut.
-      bool dropped_zero = false;
-      for (EdgeId e = 0; e < m && !dropped_zero; ++e) {
-        dropped_zero = current->edge_weight(e) == 0.0;
-      }
-      if (dropped_zero) {
-        Hypergraph filtered = drop_zero_edges(*current);
-        metrics.counter("prep.zero_edges_removed")
-            .add(static_cast<std::uint64_t>(m - filtered.num_edges()));
-        storage = std::move(filtered);
-        current = &storage;
-        out.stage_flags |= kStageZeroEdges;
-      }
-
-      // Rule 3 (heavy hyperedges): w(e) > lambda_hat means e crosses no
-      // minimum cut — contract its pins.
-      UnionFind uf(current->num_vertices());
-      if (options_.heavy_contraction && current->num_vertices() >= 2) {
-        const Weight lambda_hat = min_weighted_degree(*current, degree);
-        for (EdgeId e = 0; e < current->num_edges(); ++e) {
-          if (current->edge_weight(e) > lambda_hat) {
-            const auto pins = current->pins(e);
-            for (std::size_t i = 1; i < pins.size(); ++i) {
-              uf.unite(pins[0], pins[i]);
-            }
-            metrics.counter("prep.heavy_edges_contracted").add();
-          }
-        }
-      }
-
-      // Cluster ids in first-occurrence order: deterministic renumbering.
-      ContractionMap map;
-      map.cluster_of.assign(
-          static_cast<std::size_t>(current->num_vertices()), -1);
-      VertexId clusters = 0;
-      for (VertexId v = 0; v < current->num_vertices(); ++v) {
-        const VertexId root = uf.find(v);
-        VertexId& c = map.cluster_of[static_cast<std::size_t>(root)];
-        if (v == root) {
-          c = clusters++;
-        }
-        map.cluster_of[static_cast<std::size_t>(v)] = c;
-      }
-      map.num_clusters = clusters;
-
-      // Rule 2 rides on contract(): identical coarse pin sets merge with
-      // weights summed (and heavy edges collapse inside their cluster).
-      Hypergraph next = hypergraph::contract(*current, map.cluster_of,
-                                             map.num_clusters);
-      const bool contracted = clusters < current->num_vertices();
-      const bool merged =
-          !contracted && next.num_edges() < current->num_edges();
-      if (!dropped_zero && !contracted && !merged) break;  // fixpoint
-      if (contracted) out.stage_flags |= kStageHeavyContraction;
-      if (merged) {
-        out.stage_flags |= kStageDuplicateMerge;
-        metrics.counter("prep.duplicate_edges_merged")
-            .add(static_cast<std::uint64_t>(current->num_edges() -
-                                            next.num_edges()));
-      }
-      if (contracted || merged) {
-        storage = std::move(next);
-        current = &storage;
-      }
-      if (contracted) {
-        // Fold this round's vertex map into the stage map.
-        for (VertexId& c : out.map.cluster_of) {
-          c = map.cluster_of[static_cast<std::size_t>(c)];
-        }
-        out.map.num_clusters = map.num_clusters;
-      }
-      out.changed = true;
-      ++out.rounds;
-      metrics.counter("prep.kernelize_rounds").add();
+    // Rule 1: zero-weight hyperedges can never contribute to a cut.
+    bool dropped_zero = false;
+    for (EdgeId e = 0; e < m && !dropped_zero; ++e) {
+      dropped_zero = current.edge_weight(e) == 0.0;
+    }
+    if (dropped_zero) {
+      Hypergraph filtered = drop_zero_edges(current);
+      metrics.counter("prep.zero_edges_removed")
+          .add(static_cast<std::uint64_t>(m - filtered.num_edges()));
+      current = std::move(filtered);
+      result.stage_flags |= kStageZeroEdges;
     }
 
-    if (out.changed) out.reduced = std::move(storage);
-    return Status::Ok();
+    // Rule 3 (heavy hyperedges): w(e) > lambda_hat means e crosses no
+    // minimum cut — contract its pins.
+    UnionFind uf(n);
+    const Weight lambda_hat = min_weighted_degree(current, degree);
+    for (EdgeId e = 0; e < current.num_edges(); ++e) {
+      if (current.edge_weight(e) > lambda_hat) {
+        const auto pins = current.pins(e);
+        for (std::size_t i = 1; i < pins.size(); ++i) {
+          uf.unite(pins[0], pins[i]);
+        }
+        metrics.counter("prep.heavy_edges_contracted").add();
+      }
+    }
+
+    // Cluster ids in first-occurrence order: deterministic renumbering.
+    ContractionMap map;
+    map.cluster_of.assign(static_cast<std::size_t>(n), -1);
+    VertexId clusters = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const VertexId root = uf.find(v);
+      VertexId& c = map.cluster_of[static_cast<std::size_t>(root)];
+      if (v == root) {
+        c = clusters++;
+      }
+      map.cluster_of[static_cast<std::size_t>(v)] = c;
+    }
+    map.num_clusters = clusters;
+
+    // Rule 2 rides on contract(): identical coarse pin sets merge with
+    // weights summed (and heavy edges collapse inside their cluster).
+    Hypergraph next =
+        hypergraph::contract(current, map.cluster_of, map.num_clusters);
+    const bool contracted = clusters < n;
+    const bool merged = !contracted && next.num_edges() < current.num_edges();
+    if (!dropped_zero && !contracted && !merged) break;  // fixpoint
+    if (contracted) {
+      result.stage_flags |= kStageHeavyContraction;
+      result.lifting.compose(map);
+    }
+    if (merged) {
+      result.stage_flags |= kStageDuplicateMerge;
+      metrics.counter("prep.duplicate_edges_merged")
+          .add(static_cast<std::uint64_t>(current.num_edges() -
+                                          next.num_edges()));
+    }
+    if (contracted || merged) current = std::move(next);
+    ++result.rounds;
+    metrics.counter("prep.kernelize_rounds").add();
   }
-
- private:
-  KernelizeOptions options_;
-};
-
-}  // namespace
+}
 
 std::int64_t total_pins(const Hypergraph& h) {
   std::int64_t pins = 0;
@@ -194,10 +164,6 @@ std::int64_t total_pins(const Hypergraph& h) {
     pins += h.edge_size(e);
   }
   return pins;
-}
-
-std::unique_ptr<PrepStage> make_kernelize_stage(KernelizeOptions options) {
-  return std::make_unique<KernelizeStage>(options);
 }
 
 }  // namespace ht::prep

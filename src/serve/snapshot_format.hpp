@@ -75,7 +75,7 @@ enum class SectionKind : std::uint32_t {
   // in its own — reduced — id space).
   kPrepMeta = 18,        // PrepBlock[1]
   kPrepVertexMap = 19,   // i32[orig_n]   original vertex -> stored vertex
-  kPrepStages = 20,      // u8[]          per-stage provenance text
+  kPrepStages = 20,      // u8[]          prep provenance text
   // Sharded out-of-core build provenance (src/scale/). Forward-compatible
   // additions: older readers skip them and serve the Gomory–Hu tree as a
   // plain (dominating) tree.
@@ -155,12 +155,13 @@ static_assert(std::is_trivially_copyable_v<MetaBlock>);
 /// tree in the file then describe the REDUCED instance; kPrepVertexMap
 /// (original -> stored vertex, surjective onto [0, num_vertices)) lifts
 /// original ids onto it so TreeServer keeps answering in original ids.
-/// stage_flags holds ht::prep::kStage* bits; mode is the PrepConfig::Mode
-/// the build ran with. Like MetaBlock, 8-byte members first: no padding,
+/// stage_flags holds ht::prep::kStage* bits (bits 3-4 are reserved lossy
+/// rules: such snapshots load and serve estimates); mode is the
+/// PrepConfig::Mode the build ran with. Like MetaBlock, 8-byte members first: no padding,
 /// deterministic bytes.
 struct PrepBlock {
   std::int64_t orig_num_pins;
-  std::uint64_t prep_seed;       // the sparsifier's sampling seed
+  std::uint64_t prep_seed;       // reserved; writers store 0x5eed
   std::int32_t orig_num_vertices;
   std::int32_t orig_num_edges;
   std::uint32_t stage_flags;

@@ -689,15 +689,18 @@ StatusOr<TreeServer::MinCutAnswer> TreeServer::min_cut(
   MinCutAnswer answer;
   answer.value = snap.gomory_hu->min_cut(stored_s, stored_t);
   // Per-pair s-t cuts survive only the cut-preserving rules (zero-edge
-  // drop, duplicate merge); heavy contraction preserves just the global
-  // min-cut value, so it demotes the answer to a dominating estimate. A
-  // stitched sharded tree likewise serves dominating (never-under)
-  // values, exact only under the §14 conditions.
-  answer.dominating = snap.sharded_tree();
-  answer.exact =
-      (snap.meta.artifact_flags & snapshot::kGomoryHuComplete) != 0 &&
-      (!snap.has_prep || prep::stages_cut_preserving(snap.prep.stage_flags)) &&
-      !answer.dominating;
+  // drop, duplicate merge). Heavy contraction only removes cuts, so a
+  // complete tree on its output never under-reports: dominating. A
+  // stitched sharded tree likewise serves dominating values, exact only
+  // under the §14 conditions. The reserved lossy bits leave an estimate.
+  const bool complete =
+      (snap.meta.artifact_flags & snapshot::kGomoryHuComplete) != 0;
+  const std::uint32_t flags = snap.prep.stage_flags;
+  const bool cut_preserving = prep::stages_cut_preserving(flags);
+  answer.dominating = snap.sharded_tree() ||
+                      (complete && prep::stages_exact(flags) &&
+                       !cut_preserving);
+  answer.exact = complete && cut_preserving && !answer.dominating;
   guard.ok(answer.value);
   return answer;
 }
@@ -719,13 +722,13 @@ StatusOr<TreeServer::MinCutAnswer> TreeServer::global_min_cut(
     if (static_cast<std::int32_t>(v) == gh.root) continue;
     answer.value = std::min(answer.value, gh.parent_cut[v]);
   }
-  // The global min-cut VALUE survives every prep stage by contract, so
-  // prep does not demote it — only an incomplete tree (pessimistic 0
-  // edges present) or a stitched sharded tree does.
+  // The global min-cut VALUE survives every kernelization rule, so exact
+  // prep does not demote it — only the reserved lossy bits, an incomplete
+  // tree (pessimistic 0 edges present) or a stitched sharded tree does.
   answer.dominating = snap.sharded_tree();
   answer.exact =
       (snap.meta.artifact_flags & snapshot::kGomoryHuComplete) != 0 &&
-      !answer.dominating;
+      prep::stages_exact(snap.prep.stage_flags) && !answer.dominating;
   guard.ok(answer.value);
   return answer;
 }

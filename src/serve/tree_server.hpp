@@ -163,13 +163,16 @@ class TreeServer {
  public:
   struct MinCutAnswer {
     double value = 0.0;
-    /// True when the snapshot's Gomory–Hu build ran to completion; a
-    /// snapshot frozen mid-build serves pessimistic lower bounds for
-    /// vertices beyond its stop point.
+    /// True when the value is the cut on the original instance: the
+    /// snapshot's Gomory–Hu build ran to completion and prep changed no
+    /// cut the query reads. A snapshot frozen mid-build serves
+    /// pessimistic lower bounds for vertices beyond its stop point.
     bool exact = false;
-    /// True when the tree came from a sharded build (num_shards > 1):
-    /// the answer is an upper bound that never under-reports the true
-    /// cut, exact under the DESIGN.md §14 conditions.
+    /// True when the answer is an upper bound that never under-reports
+    /// the true cut: the tree came from a sharded build (num_shards > 1;
+    /// exact under the DESIGN.md §14 conditions), or a complete tree
+    /// serves min_cut on a heavy-contraction snapshot. Neither flag on a
+    /// snapshot with the reserved lossy prep bits: an estimate.
     bool dominating = false;
   };
 

@@ -1,7 +1,7 @@
-// Tests for the staged preprocessing pipeline (src/prep/): kernelization
-// rules, the cut sparsifier, the composed Lifting, determinism across
-// thread counts, anytime stops, and the end-to-end original-id contract
-// through snapshot builds and TreeServer queries.
+// Tests for preprocessing (src/prep/): kernelization rules, the composed
+// Lifting, determinism across thread counts, anytime stops, and the
+// end-to-end original-id contract through snapshot builds and TreeServer
+// queries.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,6 +35,40 @@ double global_min_cut(const Hypergraph& h) {
   return best;
 }
 
+/// Planted communities plus three heavy edges, so heavy contraction merges
+/// {0,1,2}, {20,21} and {40,41,42,43} and the stored instance has merged
+/// pairs.
+Hypergraph heavy_planted() {
+  ht::Rng rng(81);
+  const auto base = ht::hypergraph::planted_parts(4, 16, 3, 60, 16, rng);
+  Hypergraph h(base.num_vertices());
+  for (std::int32_t e = 0; e < base.num_edges(); ++e) {
+    const auto pins = base.pins(e);
+    h.add_edge({pins.begin(), pins.end()}, base.edge_weight(e));
+  }
+  h.add_edge({0, 1, 2}, 100.0);
+  h.add_edge({20, 21}, 100.0);
+  h.add_edge({40, 41, 42, 43}, 100.0);
+  h.finalize();
+  return h;
+}
+
+/// netlist_like(240, 480, 4) with every edge copied 8 times: duplicate
+/// merging collapses it back down.
+Hypergraph replicated_netlist() {
+  ht::Rng rng(11);
+  const auto base = ht::hypergraph::netlist_like(240, 480, 4, rng);
+  Hypergraph h(base.num_vertices());
+  for (int copy = 0; copy < 8; ++copy) {
+    for (std::int32_t e = 0; e < base.num_edges(); ++e) {
+      const auto pins = base.pins(e);
+      h.add_edge({pins.begin(), pins.end()}, base.edge_weight(e));
+    }
+  }
+  h.finalize();
+  return h;
+}
+
 Hypergraph triangle_with_extras() {
   Hypergraph h(4);
   h.add_edge({0, 1}, 1.0);
@@ -54,7 +88,6 @@ TEST(PrepKernelize, DropsZeroWeightEdges) {
   h.finalize();
   ht::prep::PrepConfig config;
   config.mode = ht::prep::PrepConfig::Mode::kExactOnly;
-  config.kernelize.heavy_contraction = false;
   const auto result = ht::prep::run_pipeline(h, config);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stage_flags & ht::prep::kStageZeroEdges);
@@ -69,12 +102,13 @@ TEST(PrepKernelize, MergesDuplicateEdgesSummingWeights) {
   Hypergraph h(4);
   h.add_edge({0, 1, 2}, 1.0);
   h.add_edge({2, 1, 0}, 2.5);  // same pin set, different order
-  h.add_edge({1, 3}, 1.0);
-  h.add_edge({0, 3}, 1.0);
+  // Weight 2 keeps every edge at or below lambda_hat = 3.5, so heavy
+  // contraction leaves the merge to observe.
+  h.add_edge({1, 3}, 2.0);
+  h.add_edge({0, 3}, 2.0);
   h.finalize();
   ht::prep::PrepConfig config;
   config.mode = ht::prep::PrepConfig::Mode::kExactOnly;
-  config.kernelize.heavy_contraction = false;
   const auto result = ht::prep::run_pipeline(h, config);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stage_flags & ht::prep::kStageDuplicateMerge);
@@ -111,7 +145,7 @@ TEST(PrepKernelize, ContractsHeavyEdgesAboveMinDegreeBound) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stage_flags & ht::prep::kStageHeavyContraction);
   EXPECT_LT(result->reduced.num_vertices(), 4);
-  EXPECT_TRUE(result->exact());
+  EXPECT_TRUE(ht::prep::stages_exact(result->stage_flags));
   EXPECT_FALSE(result->cut_preserving());
   EXPECT_DOUBLE_EQ(global_min_cut(result->reduced), before);
   // 1 and 2 share a cluster; 0 and 3 keep their own.
@@ -154,61 +188,28 @@ TEST(PrepPipeline, ExactModePreservesGlobalMinCutOnCorpus) {
     ht::Rng rng(35);
     corpus.push_back(ht::hypergraph::spmv_row_net(48, 96, 3, 0.05, rng));
   }
+  // Three larger families: duplicated nets, planted communities and a
+  // dense random instance.
+  corpus.push_back(replicated_netlist());
+  {
+    ht::Rng rng(12);
+    corpus.push_back(ht::hypergraph::planted_parts(8, 40, 3, 160, 40, rng));
+  }
+  {
+    ht::Rng rng(13);
+    corpus.push_back(ht::hypergraph::random_uniform(160, 1600, 4, rng));
+  }
   ht::prep::PrepConfig config;
   config.mode = ht::prep::PrepConfig::Mode::kExactOnly;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const Hypergraph& h = corpus[i];
     const auto result = ht::prep::run_pipeline(h, config);
     ASSERT_TRUE(result.ok()) << "instance " << i;
-    EXPECT_TRUE(result->exact()) << "instance " << i;
+    EXPECT_TRUE(ht::prep::stages_exact(result->stage_flags))
+        << "instance " << i;
     EXPECT_DOUBLE_EQ(global_min_cut(result->reduced), global_min_cut(h))
         << "instance " << i;
   }
-}
-
-TEST(PrepPipeline, AggressiveModeShrinksPlantedCommunities) {
-  ht::Rng rng(41);
-  const auto h = ht::hypergraph::planted_parts(6, 20, 3, 80, 20, rng);
-  ht::prep::PrepConfig config;
-  config.mode = ht::prep::PrepConfig::Mode::kAggressive;
-  const auto result = ht::prep::run_pipeline(h, config);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->applied());
-  EXPECT_LT(result->reduced.num_vertices(), h.num_vertices());
-  EXPECT_GT(result->reduction_ratio(), 1.5);
-  // Lifting is total and onto the reduced vertex set.
-  EXPECT_EQ(result->lifting.num_original(), h.num_vertices());
-  EXPECT_EQ(result->lifting.num_reduced(), result->reduced.num_vertices());
-  std::vector<bool> hit(
-      static_cast<std::size_t>(result->reduced.num_vertices()), false);
-  for (std::int32_t v = 0; v < h.num_vertices(); ++v) {
-    const auto r = result->lifting.to_reduced(v);
-    ASSERT_GE(r, 0);
-    ASSERT_LT(r, result->reduced.num_vertices());
-    hit[static_cast<std::size_t>(r)] = true;
-  }
-  for (const bool b : hit) EXPECT_TRUE(b);
-}
-
-TEST(PrepSparsify, DeterministicForFixedSeedAndKeyedOnSeed) {
-  ht::Rng rng(51);
-  const auto h = ht::hypergraph::random_uniform(48, 400, 3, rng);
-  // Large epsilon so p_e = rho * w_e / strength_e dips below 1 on this
-  // dense instance and sampling actually drops edges.
-  const auto stage = ht::prep::make_sparsify_stage({1.5, 1.0, 123});
-  ht::prep::StageResult a, b;
-  ASSERT_TRUE(stage->apply(h, a).ok());
-  ASSERT_TRUE(stage->apply(h, b).ok());
-  ASSERT_EQ(a.changed, b.changed);
-  ASSERT_TRUE(a.changed);
-  ASSERT_EQ(a.reduced.num_edges(), b.reduced.num_edges());
-  for (std::int32_t e = 0; e < a.reduced.num_edges(); ++e) {
-    EXPECT_DOUBLE_EQ(a.reduced.edge_weight(e), b.reduced.edge_weight(e));
-  }
-  EXPECT_FALSE(stage->exact());
-  // Vertex set is untouched — the sparsifier only drops / reweights edges.
-  EXPECT_EQ(a.reduced.num_vertices(), h.num_vertices());
-  EXPECT_TRUE(a.map.is_identity());
 }
 
 TEST(PrepLifting, ComposesStageMaps) {
@@ -238,20 +239,31 @@ TEST(PrepLifting, ComposesStageMaps) {
 }
 
 TEST(PrepPipeline, PieceBudgetStopsBetweenStagesWithValidResult) {
-  ht::Rng rng(61);
-  const auto h = ht::hypergraph::planted_parts(6, 20, 3, 80, 20, rng);
+  const Hypergraph h = heavy_planted();
   ht::prep::PrepConfig config;
-  config.mode = ht::prep::PrepConfig::Mode::kAggressive;
+  config.mode = ht::prep::PrepConfig::Mode::kExactOnly;
   ht::RunContext ctx;
-  ctx.with_piece_budget(1);  // stop after the first applied stage
+  ctx.with_piece_budget(1);  // the kernelization pass spends it
   ht::RunScope scope(ctx);
   const auto result = ht::prep::run_pipeline(h, config);
   EXPECT_EQ(result.status().code(), ht::StatusCode::kResourceExhausted);
   ASSERT_TRUE(result.has_value());
   // Anytime: whatever was applied is still a consistent reduction.
+  EXPECT_TRUE(result->applied());
+  EXPECT_LT(result->reduced.num_vertices(), h.num_vertices());
+  EXPECT_GE(result->reduced.num_vertices(), 2);
+  // Lifting is total and onto the reduced vertex set.
   EXPECT_EQ(result->lifting.num_original(), h.num_vertices());
   EXPECT_EQ(result->lifting.num_reduced(), result->reduced.num_vertices());
-  EXPECT_GE(result->reduced.num_vertices(), 2);
+  std::vector<bool> hit(
+      static_cast<std::size_t>(result->reduced.num_vertices()), false);
+  for (std::int32_t v = 0; v < h.num_vertices(); ++v) {
+    const auto r = result->lifting.to_reduced(v);
+    ASSERT_GE(r, 0);
+    ASSERT_LT(r, result->reduced.num_vertices());
+    hit[static_cast<std::size_t>(r)] = true;
+  }
+  for (const bool b : hit) EXPECT_TRUE(b);
 }
 
 TEST(PrepPipeline, RejectsUnfinalizedInput) {
@@ -264,10 +276,9 @@ TEST(PrepPipeline, RejectsUnfinalizedInput) {
 }
 
 TEST(PrepSnapshot, BuildBytesIdenticalAcrossThreadCounts) {
-  ht::Rng rng(71);
-  const auto h = ht::hypergraph::planted_parts(4, 16, 3, 60, 16, rng);
+  const Hypergraph h = heavy_planted();
   ht::snapshot::BuildOptions options;
-  options.prep.mode = ht::prep::PrepConfig::Mode::kAggressive;
+  options.prep.mode = ht::prep::PrepConfig::Mode::kExactOnly;
   ht::ThreadPool::reset_global(1);
   const auto one = ht::snapshot::build(h, options);
   ht::ThreadPool::reset_global(4);
@@ -280,15 +291,10 @@ TEST(PrepSnapshot, BuildBytesIdenticalAcrossThreadCounts) {
 
 class PrepServeTest : public ::testing::Test {
  protected:
-  static Hypergraph instance() {
-    ht::Rng rng(81);
-    return ht::hypergraph::planted_parts(4, 16, 3, 60, 16, rng);
-  }
-
-  static ht::TreeServer open_with_mode(const Hypergraph& h,
-                                       ht::prep::PrepConfig::Mode mode,
-                                       ht::snapshot::BuildReport* report) {
-    ht::snapshot::BuildOptions options;
+  static ht::TreeServer open_with_mode(
+      const Hypergraph& h, ht::prep::PrepConfig::Mode mode,
+      ht::snapshot::BuildReport* report,
+      ht::snapshot::BuildOptions options = {}) {
     options.prep.mode = mode;
     // Per-test file names: ctest runs every case as its own process, in
     // parallel under -j.
@@ -306,9 +312,9 @@ class PrepServeTest : public ::testing::Test {
 };
 
 TEST_F(PrepServeTest, InfoReportsOriginalAndStoredCounts) {
-  const Hypergraph h = instance();
+  const Hypergraph h = heavy_planted();
   ht::snapshot::BuildReport report;
-  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kAggressive,
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
                                &report);
   ASSERT_TRUE(report.prep_applied);
   const auto info = server.info();
@@ -318,14 +324,14 @@ TEST_F(PrepServeTest, InfoReportsOriginalAndStoredCounts) {
   EXPECT_EQ(info.stored_edges, report.stored_edges);
   EXPECT_LT(info.stored_vertices, info.num_vertices);
   EXPECT_TRUE(info.preprocessed);
-  EXPECT_FALSE(info.prep_exact);  // aggressive mode ran lossy stages
+  EXPECT_TRUE(info.prep_exact);
   EXPECT_EQ(info.prep_stage_flags, report.prep_stage_flags);
 }
 
 TEST_F(PrepServeTest, MinCutAnswersInOriginalIdsAndRejectsMergedPairs) {
-  const Hypergraph h = instance();
+  const Hypergraph h = heavy_planted();
   ht::snapshot::BuildReport report;
-  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kAggressive,
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
                                &report);
   ASSERT_TRUE(report.prep_applied);
   const auto state = server.state();
@@ -345,14 +351,14 @@ TEST_F(PrepServeTest, MinCutAnswersInOriginalIdsAndRejectsMergedPairs) {
       if (merged_a >= 0 && split_a >= 0) break;
     }
   }
-  ASSERT_GE(merged_a, 0) << "aggressive prep merged nothing";
+  ASSERT_GE(merged_a, 0) << "prep merged nothing";
   ASSERT_GE(split_a, 0);
   const auto merged = server.min_cut(merged_a, merged_b);
   EXPECT_EQ(merged.status().code(), ht::StatusCode::kInvalidArgument);
   const auto split = server.min_cut(split_a, split_b);
   ASSERT_TRUE(split.has_value());
   EXPECT_GT(split->value, 0.0);
-  EXPECT_FALSE(split->exact);  // lossy prep demotes min-cut answers
+  EXPECT_FALSE(split->exact);  // heavy contraction demotes min-cut answers
   // Out-of-range original ids are rejected against the ORIGINAL count.
   EXPECT_EQ(server.min_cut(0, h.num_vertices()).status().code(),
             ht::StatusCode::kInvalidArgument);
@@ -375,7 +381,7 @@ TEST_F(PrepServeTest, ExactOnlyPrepKeepsMinCutValuesExact) {
   auto server = open_with_mode(base, ht::prep::PrepConfig::Mode::kExactOnly,
                                &report);
   ASSERT_TRUE(report.prep_applied);
-  ASSERT_TRUE(report.prep_exact);
+  ASSERT_TRUE(ht::prep::stages_exact(report.prep_stage_flags));
   ht::snapshot::BuildReport off_report;
   auto off = open_with_mode(base, ht::prep::PrepConfig::Mode::kOff,
                             &off_report);
@@ -390,10 +396,66 @@ TEST_F(PrepServeTest, ExactOnlyPrepKeepsMinCutValuesExact) {
   }
 }
 
-TEST_F(PrepServeTest, BisectionBalancesOriginalVertices) {
-  const Hypergraph h = instance();
+// Heavy contraction only removes cuts, so a complete Gomory–Hu tree on the
+// reduced instance never under-reports an s-t cut of the original.
+TEST_F(PrepServeTest, HeavyContractionMinCutsDominate) {
+  const Hypergraph h = heavy_planted();
   ht::snapshot::BuildReport report;
-  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kAggressive,
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
+                               &report);
+  ASSERT_EQ(report.prep_stage_flags, ht::prep::kStageHeavyContraction);
+  const auto state = server.state();
+  const ht::CutEngine engine;
+  std::int32_t split_pairs = 0;
+  for (std::int32_t s = 0; s < h.num_vertices(); ++s) {
+    for (std::int32_t t = s + 1; t < h.num_vertices(); ++t) {
+      if (state->to_stored(s) == state->to_stored(t)) continue;
+      ++split_pairs;
+      const auto served = server.min_cut(s, t);
+      ASSERT_TRUE(served.has_value()) << s << "," << t;
+      const double truth = engine.min_hyperedge_cut(h, {s}, {t}).value;
+      EXPECT_GE(served->value, truth - 1e-9) << s << "," << t;
+      EXPECT_TRUE(served->dominating) << s << "," << t;
+      EXPECT_FALSE(served->exact) << s << "," << t;
+    }
+  }
+  EXPECT_GT(split_pairs, 0);
+}
+
+// The exact pass alone shrinks the replicated family >= 5x, and the
+// bisection served from its snapshot, evaluated on the original instance,
+// stays within 5% of the one served without prep.
+TEST_F(PrepServeTest, ExactPrepShrinksReplicatedWithoutBisectionLoss) {
+  const Hypergraph h = replicated_netlist();
+  ht::prep::PrepConfig config;
+  config.mode = ht::prep::PrepConfig::Mode::kExactOnly;
+  const auto result = ht::prep::run_pipeline(h, config);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result->reduction_ratio(), 5.0);
+
+  // bisection() reads only the vertex cut tree.
+  ht::snapshot::BuildOptions options;
+  options.seed = 7;
+  options.include_gomory_hu = false;
+  options.include_decomposition = false;
+  auto off = open_with_mode(h, ht::prep::PrepConfig::Mode::kOff, nullptr,
+                            options);
+  auto exact = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
+                              nullptr, options);
+  const auto off_answer = off.bisection();
+  const auto exact_answer = exact.bisection();
+  ASSERT_TRUE(off_answer.has_value());
+  ASSERT_TRUE(exact_answer.has_value());
+  const double off_cut = h.cut_weight(off_answer->side);
+  const double exact_cut = h.cut_weight(exact_answer->side);
+  ASSERT_GT(off_cut, 0.0);
+  EXPECT_LT(exact_cut, 1.05 * off_cut) << exact_cut << " vs " << off_cut;
+}
+
+TEST_F(PrepServeTest, BisectionBalancesOriginalVertices) {
+  const Hypergraph h = heavy_planted();
+  ht::snapshot::BuildReport report;
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
                                &report);
   ASSERT_TRUE(report.prep_applied);
   const auto answer = server.bisection();
@@ -407,9 +469,9 @@ TEST_F(PrepServeTest, BisectionBalancesOriginalVertices) {
 }
 
 TEST_F(PrepServeTest, KwayPartitionsOriginalVertices) {
-  const Hypergraph h = instance();
+  const Hypergraph h = heavy_planted();
   ht::snapshot::BuildReport report;
-  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kAggressive,
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
                                &report);
   const auto answer = server.kway(4);
   ASSERT_TRUE(answer.has_value());
@@ -425,9 +487,9 @@ TEST_F(PrepServeTest, KwayPartitionsOriginalVertices) {
 }
 
 TEST_F(PrepServeTest, SetCutAnswersAndRejectsNodeCollisions) {
-  const Hypergraph h = instance();
+  const Hypergraph h = heavy_planted();
   ht::snapshot::BuildReport report;
-  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kAggressive,
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
                                &report);
   ASSERT_TRUE(report.prep_applied);
   const auto state = server.state();
@@ -459,20 +521,24 @@ TEST_F(PrepServeTest, SetCutAnswersAndRejectsNodeCollisions) {
   EXPECT_GT(answer->value, 0.0);
 }
 
+// Kernelization takes no seed: under a seeded context the facade returns
+// exactly what run_pipeline does.
 TEST(PrepSolver, FacadePreprocessAppliesContextSeed) {
-  ht::Rng rng(91);
-  const auto h = ht::hypergraph::random_uniform(48, 400, 3, rng);
+  const Hypergraph h = heavy_planted();
   ht::RunContext ctx;
   ctx.with_seed(123);
   ht::Solver solver(ctx);
   ht::prep::PrepConfig config;
-  config.mode = ht::prep::PrepConfig::Mode::kAggressive;
-  const auto a = solver.preprocess(h, config);
-  const auto b = solver.preprocess(h, config);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->reduced.num_edges(), b->reduced.num_edges());
-  EXPECT_EQ(a->stage_flags, b->stage_flags);
+  config.mode = ht::prep::PrepConfig::Mode::kExactOnly;
+  const auto facade = solver.preprocess(h, config);
+  const auto direct = ht::prep::run_pipeline(h, config);
+  ASSERT_TRUE(facade.ok());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE(facade->applied());
+  EXPECT_EQ(facade->reduced.num_vertices(), direct->reduced.num_vertices());
+  EXPECT_EQ(facade->reduced.num_edges(), direct->reduced.num_edges());
+  EXPECT_EQ(facade->stage_flags, direct->stage_flags);
+  EXPECT_EQ(facade->lifting.map(), direct->lifting.map());
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "hypergraph/generators.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "reduction/star_expansion.hpp"
+#include "prep/prep.hpp"
 #include "serve/snapshot_build.hpp"
 #include "serve/snapshot_format.hpp"
 #include "serve/snapshot_reader.hpp"
@@ -460,6 +461,36 @@ TEST(SnapshotGolden, V1FixtureLoadsAndAnswers) {
     ++sizes[static_cast<std::size_t>(p)];
   }
   for (const int size : sizes) EXPECT_EQ(size, 4);
+}
+
+// A v1 snapshot an older build wrote with lossy prep: `build-snapshot
+// small16.hmetis --seed=7 --prep=aggressive`, which set stage flag 0x8
+// (label propagation) and stored 12 of the 16 vertices. The reserved bit
+// must keep loading, and the cut answers must be labelled neither exact
+// nor dominating: min_cut(1, 2) serves 7 where the truth is 3.
+TEST(SnapshotGolden, V1LossyPrepFixtureLoadsAsEstimate) {
+  const std::string path =
+      std::string(HT_TEST_DATA_DIR) + "/golden_v1_small16_aggressive.htsnap";
+  auto server = ht::TreeServer::open(path);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  const auto info = server->info();
+  EXPECT_EQ(info.num_vertices, 16);
+  EXPECT_EQ(info.stored_vertices, 12);
+  EXPECT_TRUE(info.preprocessed);
+  EXPECT_FALSE(info.prep_exact);
+  EXPECT_EQ(info.prep_stage_flags, ht::prep::kStageLabelPropagation);
+
+  auto minc = server->min_cut(1, 2);
+  ASSERT_TRUE(minc.ok()) << minc.status().to_string();
+  EXPECT_NEAR(minc->value, 7.0, 1e-9);
+  EXPECT_FALSE(minc->exact);
+  EXPECT_FALSE(minc->dominating);
+
+  auto gmin = server->global_min_cut();
+  ASSERT_TRUE(gmin.ok()) << gmin.status().to_string();
+  EXPECT_NEAR(gmin->value, 3.0, 1e-9);
+  EXPECT_FALSE(gmin->exact);
+  EXPECT_FALSE(gmin->dominating);
 }
 
 // ---------------------------------------------------------------------------
