@@ -68,7 +68,8 @@ struct FlightRecord {
   std::uint16_t thread = 0;      // obs::thread_index(), wraps at 2^16
   QueryKind kind = QueryKind::kMinCut;
   std::uint8_t status_code = 0;  // ht::StatusCode numeric value
-  bool prep_exact = false;       // served instance exactly equivalent
+  bool prep_exact = false;       // no lossy prep stage touched the
+                                 // served instance (Info::prep_exact)
 };
 
 class FlightRecorder {
@@ -106,8 +107,7 @@ class FlightRecorder {
   /// Slots per ring.
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// Flips appending; dumps keep working either way. The serving bench
-  /// uses this for its recorder-overhead A/B.
+  /// Flips appending; dumps keep working either way.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }

@@ -558,8 +558,7 @@ struct QueryObserver {
       record.thread = static_cast<std::uint16_t>(obs::thread_index());
       record.kind = kind;
       record.status_code = static_cast<std::uint8_t>(code);
-      record.prep_exact =
-          !state->has_prep || prep::stages_exact(state->prep.stage_flags);
+      record.prep_exact = state->prep_exact();
       recorder.append(record);
     }
     if (code != StatusCode::kOk && !options.flight_dump_path.empty()) {
@@ -728,7 +727,7 @@ StatusOr<TreeServer::MinCutAnswer> TreeServer::global_min_cut(
   answer.dominating = snap.sharded_tree();
   answer.exact =
       (snap.meta.artifact_flags & snapshot::kGomoryHuComplete) != 0 &&
-      prep::stages_exact(snap.prep.stage_flags) && !answer.dominating;
+      snap.prep_exact() && !answer.dominating;
   guard.ok(answer.value);
   return answer;
 }
@@ -880,8 +879,7 @@ TreeServer::Info TreeServer::info() const {
   info.stored_edges = snap->meta.num_edges;
   info.preprocessed = snap->has_prep;
   info.prep_stage_flags = snap->has_prep ? snap->prep.stage_flags : 0u;
-  info.prep_exact =
-      snap->has_prep && prep::stages_exact(snap->prep.stage_flags);
+  info.prep_exact = snap->prep_exact();
   info.format_version = snap->snap.header().version;
   info.snapshot_bytes = snap->snap.size_bytes();
   info.has_gomory_hu = snap->gomory_hu.has_value();

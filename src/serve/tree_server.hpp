@@ -42,6 +42,7 @@
 
 #include "cuttree/tree.hpp"
 #include "flow/cut_engine.hpp"
+#include "prep/prep.hpp"
 #include "serve/snapshot_reader.hpp"
 #include "util/run_context.hpp"
 #include "util/status.hpp"
@@ -105,6 +106,12 @@ struct LoadedSnapshot {
   snapshot::PrepBlock prep{};
   std::span<const std::int32_t> prep_map;  // original -> stored vertex
   bool has_prep = false;
+  /// No lossy stage touched the served instance (true without prep). Not
+  /// "every cut is preserved": heavy contraction keeps this true while
+  /// its per-pair min cuts only dominate.
+  bool prep_exact() const {
+    return !has_prep || prep::stages_exact(prep.stage_flags);
+  }
 
   // Sharded-build provenance; has_shards == false leaves shard zeroed and
   // shard_ranges empty. With num_shards > 1 the Gomory–Hu tree is a
@@ -208,7 +215,9 @@ class TreeServer {
     std::uint32_t prep_stage_flags = 0;  // ht::prep::kStage* bits
     std::size_t snapshot_bytes = 0;
     bool preprocessed = false;
-    /// Pipeline preserved the global min-cut value (no lossy stage).
+    /// No lossy prep stage touched the served instance, so the global
+    /// min-cut value is preserved (true when not preprocessed; the same
+    /// bit every flight record of this epoch carries).
     bool prep_exact = false;
     bool has_gomory_hu = false;
     bool has_vertex_cut_tree = false;

@@ -13,6 +13,7 @@
 #include "ht/hypertree.hpp"
 #include "hypergraph/generators.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "obs/flight_recorder.hpp"
 #include "prep/prep.hpp"
 #include "serve/snapshot_build.hpp"
 #include "serve/tree_server.hpp"
@@ -393,6 +394,46 @@ TEST_F(PrepServeTest, ExactOnlyPrepKeepsMinCutValuesExact) {
       ASSERT_TRUE(without.has_value());
       EXPECT_DOUBLE_EQ(with_prep->value, without->value) << s << "," << t;
     }
+  }
+}
+
+// info().prep_exact and the prep_exact bit of every flight record are one
+// fact: no lossy stage touched the served instance. It holds without prep
+// and under heavy contraction (whose per-pair min cuts only dominate), and
+// fails on the fixture an older build wrote with a lossy stage.
+TEST_F(PrepServeTest, InfoAndFlightRecordsAgreeOnPrepExact) {
+  const std::string data = HT_TEST_DATA_DIR;
+  auto off = ht::TreeServer::open(data + "/golden_v1_small16.htsnap");
+  ASSERT_TRUE(off.ok()) << off.status().to_string();
+  auto lossy =
+      ht::TreeServer::open(data + "/golden_v1_small16_aggressive.htsnap");
+  ASSERT_TRUE(lossy.ok()) << lossy.status().to_string();
+  ht::snapshot::BuildReport report;
+  const auto heavy = open_with_mode(
+      heavy_planted(), ht::prep::PrepConfig::Mode::kExactOnly, &report);
+  ASSERT_EQ(report.prep_stage_flags, ht::prep::kStageHeavyContraction);
+
+  const struct {
+    const char* name;
+    const ht::TreeServer* server;
+    bool prep_exact;
+  } cases[] = {{"prep off", &*off, true},
+               {"heavy contraction", &heavy, true},
+               {"lossy", &*lossy, false}};
+  auto& recorder = ht::obs::FlightRecorder::global();
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.server->info().prep_exact, c.prep_exact) << c.name;
+    const std::int64_t since = recorder.now_ns();
+    EXPECT_TRUE(c.server->global_min_cut().ok()) << c.name;
+    EXPECT_TRUE(c.server->bisection().ok()) << c.name;
+    EXPECT_TRUE(c.server->kway(4).ok()) << c.name;
+    int records = 0;
+    for (const auto& record : recorder.dump()) {
+      if (record.start_ns < since) continue;
+      ++records;
+      EXPECT_EQ(record.prep_exact, c.prep_exact) << c.name;
+    }
+    EXPECT_EQ(records, 3) << c.name;
   }
 }
 
