@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 
 #include "flow/cut_engine.hpp"
@@ -185,8 +184,9 @@ double tree_vertex_cut_flow(const Tree& t, const std::vector<VertexId>& a,
   return ht::CutEngine().min_vertex_cut(g, na, nb).value;
 }
 
-double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
-                          const std::vector<VertexId>& b) {
+std::optional<double> try_tree_vertex_cut_dp(const Tree& t,
+                                             std::span<const VertexId> a,
+                                             std::span<const VertexId> b) {
   // States: 0 = node in cut, 1 = exposed to A, 2 = exposed to B,
   // 3 = neutral (component touches neither terminal set).
   //
@@ -199,91 +199,112 @@ double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
   // order children() lists them in — so every remaining addition happens
   // in the order of the full bottom-up sweep.
   //
-  // Scratch is per thread and only cleared, so a warm serving thread's
+  // The frontier is a tournament (loser) tree with one leaf per terminal,
+  // A's first. A leaf's key is where its chain waits: (node, rank), the
+  // rank putting the terminal's own mark first and then the child the
+  // chain climbed from, smallest id first. Popping the largest key hands
+  // out the nodes in descending id — every child before its parent, since
+  // parents precede children — and a node's entries in that order, so its
+  // on-path children fold as they come out. The first chain out of a
+  // node carries its state on to the parent; the others retire. Each pop
+  // replays one leaf-to-root path: O((U + k) log k).
+  //
+  // Scratch is per thread and only resized, so a warm serving thread's
   // set_cut allocates nothing.
-  struct Entry {
-    NodeId node;
-    std::int32_t tag;
+  constexpr std::int64_t kRetired = -1;  // below every live key
+  constexpr std::uint32_t kMarkRank = 0xFFFFFFFFu;
+  const auto key_of = [](NodeId node, std::uint32_t rank) {
+    return static_cast<std::int64_t>(node) << 32 |
+           static_cast<std::int64_t>(rank);
   };
-  thread_local std::vector<NodeId> a_nodes;
-  thread_local std::vector<Entry> heap;
-  thread_local std::vector<std::array<double, 4>> states;
-  thread_local std::vector<std::int32_t> kids;
-  a_nodes.clear();
-  heap.clear();
-  states.clear();
-  for (VertexId v : a) {
+  const auto node_of_key = [](std::int64_t key) {
+    return static_cast<NodeId>(key >> 32);  // kRetired -> -1
+  };
+  const auto na = static_cast<std::int32_t>(a.size());
+  const auto k = static_cast<std::int32_t>(a.size() + b.size());
+  if (k == 0) return 0.0;  // no terminals: nothing to separate
+  thread_local std::vector<std::int64_t> key_scratch;
+  thread_local std::vector<std::array<double, 4>> carried_scratch;
+  thread_local std::vector<std::int32_t> match_scratch;
+  const auto size = static_cast<std::size_t>(k);
+  key_scratch.resize(size);
+  carried_scratch.resize(size);
+  match_scratch.resize(2 * size);
+  std::int64_t* const key = key_scratch.data();
+  std::array<double, 4>* const carried = carried_scratch.data();
+  // Leaf i sits at position k + i; internal node j in [1, k) plays the
+  // match between its children 2j and 2j+1 and keeps the loser. Only the
+  // build needs each match's winner.
+  std::int32_t* const loser = match_scratch.data();
+  std::int32_t* const winner = loser + k;
+  for (std::int32_t i = 0; i < k; ++i) {
+    const VertexId v = i < na ? a[static_cast<std::size_t>(i)]
+                              : b[static_cast<std::size_t>(i - na)];
     const NodeId node = t.node_of_vertex(v);
     HT_CHECK(node != -1);
-    a_nodes.push_back(node);
+    key[i] = key_of(node, kMarkRank);
   }
-  std::sort(a_nodes.begin(), a_nodes.end());
-  a_nodes.erase(std::unique(a_nodes.begin(), a_nodes.end()), a_nodes.end());
-
-  // Max-heap on node id. A tag >= 0 is a finished child's index into
-  // `states`; the seeds mark terminal nodes. Parents precede children, so
-  // popping in descending id finishes every child before its parent.
-  constexpr std::int32_t kSeedA = -1;
-  constexpr std::int32_t kSeedB = -2;
-  const auto lower = [](const Entry& x, const Entry& y) {
-    return x.node < y.node;
+  for (std::int32_t j = k - 1; j >= 1; --j) {
+    const std::int32_t l = 2 * j < k ? winner[2 * j] : 2 * j - k;
+    const std::int32_t r = 2 * j + 1 < k ? winner[2 * j + 1] : 2 * j + 1 - k;
+    const bool left_wins = key[l] >= key[r];
+    winner[j] = left_wins ? l : r;
+    loser[j] = left_wins ? r : l;
+  }
+  std::int32_t top = k == 1 ? 0 : winner[1];
+  // After the top leaf's key drops, replays its matches up to the root.
+  const auto replay = [&](std::int32_t leaf) {
+    std::int32_t w = leaf;
+    for (std::int32_t j = (k + leaf) >> 1; j >= 1; j >>= 1) {
+      if (key[loser[j]] > key[w]) std::swap(loser[j], w);
+    }
+    top = w;
   };
-  for (NodeId node : a_nodes) heap.push_back({node, kSeedA});
-  for (VertexId v : b) {
-    const NodeId node = t.node_of_vertex(v);
-    HT_CHECK(node != -1);
-    HT_CHECK_MSG(!std::binary_search(a_nodes.begin(), a_nodes.end(), node),
-                 "A and B map to the same tree node");
-    heap.push_back({node, kSeedB});
-  }
-  std::make_heap(heap.begin(), heap.end(), lower);
 
-  // `states` holds the finished nodes, in descending id.
-  while (!heap.empty()) {
-    const NodeId v = heap.front().node;
-    std::int8_t own = 0;
-    kids.clear();
-    while (!heap.empty() && heap.front().node == v) {
-      const std::int32_t tag = heap.front().tag;
-      if (tag == kSeedA) {
-        own = 1;
-      } else if (tag == kSeedB) {
-        own = 2;
-      } else {
-        kids.push_back(tag);
-      }
-      std::pop_heap(heap.begin(), heap.end(), lower);
-      heap.pop_back();
-    }
-    // A child finished later has a smaller id: descending index order is
-    // ascending id order.
-    std::sort(kids.begin(), kids.end(), std::greater<>());
-    std::array<double, 4> d;
-    d[0] = t.node_weight(v);
-    d[1] = own == 2 ? kUnreachable : 0.0;
-    d[2] = own == 1 ? kUnreachable : 0.0;
-    d[3] = own != 0 ? kUnreachable : 0.0;
-    for (std::int32_t k : kids) {
-      const auto& dc = states[static_cast<std::size_t>(k)];
-      const double child_any =
-          std::min(std::min(dc[0], dc[1]), std::min(dc[2], dc[3]));
-      d[0] += child_any;
-      // Exposed-A parent: child may be cut, exposed-A or neutral.
-      d[1] += std::min(dc[0], std::min(dc[1], dc[3]));
-      d[2] += std::min(dc[0], std::min(dc[2], dc[3]));
-      d[3] += std::min(dc[0], dc[3]);
-      for (double& x : d) x = std::min(x, kUnreachable);
-    }
-    states.push_back(d);
+  std::array<double, 4> d{};
+  while (key[top] != kRetired) {
+    const NodeId v = node_of_key(key[top]);
     const NodeId p = t.parent(v);
-    if (p != -1) {
-      heap.push_back({p, static_cast<std::int32_t>(states.size() - 1)});
-      std::push_heap(heap.begin(), heap.end(), lower);
-    }
+    const std::int64_t onward =
+        p == -1 ? kRetired
+                : key_of(p, 0x7FFFFFFFu - static_cast<std::uint32_t>(v));
+    d = {t.node_weight(v), 0.0, 0.0, 0.0};
+    std::int8_t own = 0;
+    const std::int32_t carrier = top;  // carries v's state on to p
+    do {
+      const std::int32_t leaf = top;
+      if ((key[leaf] & kMarkRank) == kMarkRank) {
+        own |= leaf < na ? 1 : 2;
+        if (own == 3) return std::nullopt;  // A and B share node v
+        // Marks come out before any child folds in.
+        d[1] = own == 2 ? kUnreachable : 0.0;
+        d[2] = own == 1 ? kUnreachable : 0.0;
+        d[3] = kUnreachable;
+      } else {
+        const std::array<double, 4>& dc = carried[leaf];
+        const double child_any =
+            std::min(std::min(dc[0], dc[1]), std::min(dc[2], dc[3]));
+        d[0] += child_any;
+        // Exposed-A parent: child may be cut, exposed-A or neutral.
+        d[1] += std::min(dc[0], std::min(dc[1], dc[3]));
+        d[2] += std::min(dc[0], std::min(dc[2], dc[3]));
+        d[3] += std::min(dc[0], dc[3]);
+        for (double& x : d) x = std::min(x, kUnreachable);
+      }
+      key[leaf] = leaf == carrier ? onward : kRetired;
+      replay(leaf);
+    } while (node_of_key(key[top]) == v);
+    carried[carrier] = d;
   }
-  if (states.empty()) return 0.0;  // no terminals: nothing to separate
-  const auto& r = states.back();   // the root has the smallest id
-  return std::min(std::min(r[0], r[1]), std::min(r[2], r[3]));
+  // The root (node 0) has the smallest id, so it finished last.
+  return std::min(std::min(d[0], d[1]), std::min(d[2], d[3]));
+}
+
+double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
+                          const std::vector<VertexId>& b) {
+  const std::optional<double> value = try_tree_vertex_cut_dp(t, a, b);
+  HT_CHECK_MSG(value.has_value(), "A and B map to the same tree node");
+  return *value;
 }
 
 double tree_edge_cut_dp(const Tree& t, const std::vector<VertexId>& a,

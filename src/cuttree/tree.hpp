@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -179,12 +180,21 @@ double tree_vertex_cut_flow(const Tree& t, const std::vector<VertexId>& a,
                             const std::vector<VertexId>& b);
 
 /// Same value via an exact tree DP — the independent cross-check. Visits
-/// only the root paths of A's and B's nodes, O(path · log(|A| + |B|)),
-/// and needs node weights >= +0.0 (Tree::from_arrays enforces that for
-/// loaded trees). Every vertex of A and B must be embedded, and no node
-/// may hold vertices of both (HT_CHECK).
+/// only the root paths of A's and B's nodes, O((U + k) log k) for U nodes
+/// on those paths and k = |A| + |B|, and needs node weights >= +0.0
+/// (Tree::from_arrays enforces that for loaded trees). Every vertex of A
+/// and B must be embedded, and no node may hold vertices of both
+/// (HT_CHECK).
 double tree_vertex_cut_dp(const Tree& t, const std::vector<VertexId>& a,
                           const std::vector<VertexId>& b);
+
+/// tree_vertex_cut_dp for callers that validate their own terminals
+/// (TreeServer::set_cut): a node holding vertices of both A and B comes
+/// back as nullopt instead of failing the HT_CHECK. Every vertex must
+/// still be embedded (HT_CHECK).
+std::optional<double> try_tree_vertex_cut_dp(const Tree& t,
+                                             std::span<const VertexId> a,
+                                             std::span<const VertexId> b);
 
 /// delta_T(A, B): minimum parent-edge-weight cut separating A from B.
 double tree_edge_cut_dp(const Tree& t, const std::vector<VertexId>& a,

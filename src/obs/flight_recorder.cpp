@@ -92,7 +92,6 @@ std::int64_t FlightRecorder::now_ns() const {
 }
 
 void FlightRecorder::append(const FlightRecord& record) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   const std::size_t stripe = thread_stripe();
   Ring* ring = rings_[stripe].load(std::memory_order_acquire);
   if (ring == nullptr) ring = install_ring(stripe);  // stripe's first append

@@ -1,12 +1,13 @@
-// Flight recorder: lock-free rings of fixed-size per-query records,
-// always on in the serving path.
+// Flight recorder: lock-free rings of fixed-size per-query records.
 //
 // The recorder answers "what were the last N queries doing?" the moment
 // something goes wrong — a dump is available on demand (CLI `flight`
 // command) and the serve layer writes one automatically on query errors.
-// Unlike tracing (off by default, per-thread unbounded buffers, needs
-// quiescence to read) the flight recorder is bounded, always recording,
-// and readable while writers are appending.
+// Unlike tracing (off by default, per-thread buffers that stop storing at
+// a cap, needs quiescence to read) the flight recorder is bounded, keeps
+// the newest records, and is readable while writers are appending. It
+// has no switch of its own: each server decides whether its queries
+// append (ServeOptions::flight_recorder, on by default).
 //
 // Rings: one per metrics stripe (obs::thread_stripe(), kStripes = 16),
 // each with its own cache-line head and capacity() slots, allocated on
@@ -86,9 +87,8 @@ class FlightRecorder {
   static FlightRecorder& global();
 
   /// Appends one record to the calling thread's stripe ring (seq is
-  /// assigned internally; the caller's seq is ignored). No-op while
-  /// disabled. Lock-free, ~tens of ns; allocates only on the stripe's
-  /// first append.
+  /// assigned internally; the caller's seq is ignored). Lock-free, ~tens
+  /// of ns; allocates only on the stripe's first append.
   void append(const FlightRecord& record);
 
   /// Copies out every currently-readable record of every ring, oldest
@@ -106,12 +106,6 @@ class FlightRecorder {
   std::uint64_t recorded() const;
   /// Slots per ring.
   std::size_t capacity() const { return mask_ + 1; }
-
-  /// Flips appending; dumps keep working either way.
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Nanoseconds since the recorder's origin (its construction).
   std::int64_t now_ns() const;
@@ -137,7 +131,6 @@ class FlightRecorder {
 
   std::atomic<Ring*> rings_[kStripes] = {};  // null until first append
   std::size_t mask_ = 0;
-  std::atomic<bool> enabled_{true};
   std::chrono::steady_clock::time_point origin_ =
       std::chrono::steady_clock::now();
 };

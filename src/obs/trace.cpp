@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/metrics.hpp"
+
 namespace ht::obs {
 
 namespace detail {
@@ -150,6 +152,13 @@ Tracer::ThreadBuffer& Tracer::local_buffer() {
 
 void Tracer::record(TraceEvent&& event) {
   ThreadBuffer& buf = local_buffer();
+  if (buf.events.size() >= kMaxEventsPerThread) {
+    static Counter& dropped =
+        MetricsRegistry::global().counter("trace.dropped_spans");
+    dropped.add();
+    ++buf.dropped;
+    return;
+  }
   event.tid = buf.tid;
   buf.events.push_back(std::move(event));
 }
@@ -177,13 +186,19 @@ std::size_t Tracer::event_count() const {
 
 void Tracer::clear() {
   std::scoped_lock lock(buffers_mutex_);
-  for (const auto& buf : buffers_) buf->events.clear();
+  for (const auto& buf : buffers_) {
+    buf->events.clear();
+    buf->dropped = 0;
+  }
 }
 
 std::string Tracer::chrome_trace_json() const {
   std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   std::scoped_lock lock(buffers_mutex_);
+  std::uint64_t dropped = 0;
+  for (const auto& buf : buffers_) dropped += buf->dropped;
+  os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_spans\":"
+     << dropped << "},\"traceEvents\":[\n";
   bool first = true;
   for (const auto& buf : buffers_) {
     for (const TraceEvent& ev : buf->events) {

@@ -14,6 +14,10 @@
 // a span appends one event to the calling thread's buffer; buffers are
 // created once per thread under a registration lock and then written
 // lock-free, and are never destroyed (thread exit keeps its events).
+// A buffer stores at most Tracer::kMaxEventsPerThread events: later spans
+// on that thread are counted (the "trace.dropped_spans" counter and the
+// exported JSON's otherData.dropped_spans) instead of stored, so a traced
+// long-running server stays bounded and a truncated trace says so.
 //
 // Export: Tracer::chrome_trace_json() renders Chrome trace-event JSON
 // ("X" complete events) loadable in Perfetto / chrome://tracing, with
@@ -29,6 +33,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -137,9 +142,13 @@ class TraceSpan {
 /// Owns the per-thread event buffers and the export formats.
 class Tracer {
  public:
+  /// Events one thread's buffer stores until clear(); about 5 MiB.
+  static constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 16;
+
   static Tracer& global();
 
-  /// Appends a closed span to the calling thread's buffer (assigns tid).
+  /// Appends a closed span to the calling thread's buffer (assigns tid),
+  /// or counts it as dropped once the buffer holds kMaxEventsPerThread.
   void record(TraceEvent&& event);
 
   /// Microseconds since the tracer's origin (process start, roughly).
@@ -149,12 +158,14 @@ class Tracer {
   /// quiescence (no concurrent span closes) — wait_idle() the pool first.
   std::vector<TraceEvent> collect() const;
   std::size_t event_count() const;
-  /// Drops all recorded events (buffers stay registered). Same quiescence
-  /// requirement as collect().
+  /// Drops all recorded events and dropped-span counts (buffers stay
+  /// registered). Same quiescence requirement as collect().
   void clear();
 
   /// Chrome trace-event JSON ("X" events, ts/dur in microseconds, args
-  /// carry span_id/parent_id). Same quiescence requirement as collect().
+  /// carry span_id/parent_id; otherData.dropped_spans counts the spans
+  /// the per-thread cap kept out since the last clear()). Same quiescence
+  /// requirement as collect().
   std::string chrome_trace_json() const;
   /// Writes chrome_trace_json() to `path`; false on IO failure.
   bool write_chrome_trace(const std::string& path) const;
@@ -163,6 +174,7 @@ class Tracer {
   struct ThreadBuffer {
     std::uint32_t tid = 0;
     std::vector<TraceEvent> events;
+    std::uint64_t dropped = 0;  // spans closed past the cap
   };
   ThreadBuffer& local_buffer();
 

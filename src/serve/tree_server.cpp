@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -604,6 +605,35 @@ struct QueryObserver {
   }
 };
 
+/// Why set_cut refused sides `a` and `b` over vertices [0, n), by its
+/// checks in order: an empty side; a vertex of A out of range; per vertex
+/// of B in order, out of range or also in A; else the sides share a tree
+/// node. Runs only on refused queries, so it may sort and allocate.
+Status set_cut_rejection(const std::vector<std::int32_t>& a,
+                         const std::vector<std::int32_t>& b, std::int32_t n) {
+  if (a.empty() || b.empty()) {
+    return Status::InvalidArgument("set_cut needs non-empty sides");
+  }
+  const auto out_of_range = [n](std::int32_t v) { return v < 0 || v >= n; };
+  if (std::any_of(a.begin(), a.end(), out_of_range)) {
+    return Status::InvalidArgument("set_cut vertex out of range");
+  }
+  std::vector<std::int32_t> sorted_a(a.begin(), a.end());
+  std::sort(sorted_a.begin(), sorted_a.end());
+  for (const std::int32_t v : b) {
+    if (out_of_range(v)) {
+      return Status::InvalidArgument("set_cut vertex out of range");
+    }
+    if (std::binary_search(sorted_a.begin(), sorted_a.end(), v)) {
+      return Status::InvalidArgument("set_cut sides must be disjoint");
+    }
+  }
+  // Disjoint ids can still land on one tree node once preprocessing has
+  // contracted them together (or the star expansion embedded them so).
+  return Status::InvalidArgument(
+      "set_cut sides share a tree node (vertices merged by preprocessing)");
+}
+
 }  // namespace
 
 StatusOr<TreeServer> TreeServer::open(const std::string& path,
@@ -635,17 +665,26 @@ Status TreeServer::swap(const std::string& path) {
   // The state two epochs old, still held only when no query finished
   // since the last swap to reclaim it (an idle server); freed on return.
   std::shared_ptr<const serve::LoadedSnapshot> unreclaimed;
-  {
-    std::lock_guard<std::mutex> lock(shared.mu);
+  for (;;) {
     const std::uint32_t e = shared.epoch.load();
     const int parity = static_cast<int>((e + 1) & 1);
     // Queries that began two epochs ago (spanning two swaps) may still
-    // read the slot being replaced; they finish against it first.
+    // read the slot being replaced; they finish against it first. The
+    // wait holds no lock, so state(), info() and reclaim() never queue
+    // behind a query preempted while pinned to that epoch.
     while (shared.readers(parity) != 0) std::this_thread::yield();
+    std::lock_guard<std::mutex> lock(shared.mu);
+    // While the epoch stays e no query can pin this parity: a query keeps
+    // its count only if the epoch it re-reads equals the one it counted
+    // under, and e's parity is the other one. So start over only if
+    // another swap took the mutex first and moved the epoch on, or a
+    // query that read an older epoch has yet to take its count back.
+    if (shared.epoch.load() != e || shared.readers(parity) != 0) continue;
     unreclaimed = std::move(shared.slot[parity]);
     shared.slot[parity] = std::move(*next);
     shared.epoch.store(e + 1);
     shared.retired.store(true);
+    break;
   }
   shared.swaps.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::global().counter("serve.swaps").add();
@@ -743,48 +782,24 @@ StatusOr<TreeServer::SetCutAnswer> TreeServer::set_cut(
     return guard.fail(
         Status::InvalidArgument("snapshot has no vertex cut tree"));
   }
-  const std::int32_t n = snap.original_vertices();
-  if (a.empty() || b.empty()) {
-    return guard.fail(
-        Status::InvalidArgument("set_cut needs non-empty sides"));
+  // One pass: range-check both sides, then the DP maps each terminal to
+  // its tree node once and reports a node that holds both sides (a
+  // shared id, or ids preprocessing contracted together). Only a refused
+  // query pays for working out which check it failed.
+  const auto n = static_cast<std::uint32_t>(snap.original_vertices());
+  const auto in_range = [n](std::int32_t v) {
+    return static_cast<std::uint32_t>(v) < n;
+  };
+  std::optional<double> value;
+  if (!a.empty() && !b.empty() && std::all_of(a.begin(), a.end(), in_range) &&
+      std::all_of(b.begin(), b.end(), in_range)) {
+    value = cuttree::try_tree_vertex_cut_dp(*snap.vertex_cut_tree, a, b);
   }
-  for (std::int32_t v : a) {
-    if (v < 0 || v >= n) {
-      return guard.fail(
-          Status::InvalidArgument("set_cut vertex out of range"));
-    }
-  }
-  // Per-thread scratch, so a warm set_cut allocates nothing.
-  thread_local std::vector<std::int32_t> sorted_a;
-  sorted_a.assign(a.begin(), a.end());
-  std::sort(sorted_a.begin(), sorted_a.end());
-  for (std::int32_t v : b) {
-    if (v < 0 || v >= n) {
-      return guard.fail(
-          Status::InvalidArgument("set_cut vertex out of range"));
-    }
-    if (std::binary_search(sorted_a.begin(), sorted_a.end(), v)) {
-      return guard.fail(
-          Status::InvalidArgument("set_cut sides must be disjoint"));
-    }
-  }
-  // Disjoint ids can still land on one tree node once preprocessing has
-  // contracted them together (or the star expansion embedded them so);
-  // the DP's terminal marking treats that as a caller error, so reject it
-  // here as a Status instead.
-  const cuttree::Tree& tree = *snap.vertex_cut_tree;
-  for (std::int32_t& v : sorted_a) v = tree.node_of_vertex(v);
-  std::sort(sorted_a.begin(), sorted_a.end());
-  for (std::int32_t v : b) {
-    if (std::binary_search(sorted_a.begin(), sorted_a.end(),
-                           tree.node_of_vertex(v))) {
-      return guard.fail(Status::InvalidArgument(
-          "set_cut sides share a tree node (vertices merged by "
-          "preprocessing)"));
-    }
+  if (!value.has_value()) {
+    return guard.fail(set_cut_rejection(a, b, snap.original_vertices()));
   }
   SetCutAnswer answer;
-  answer.value = cuttree::tree_vertex_cut_dp(*snap.vertex_cut_tree, a, b);
+  answer.value = *value;
   guard.ok(answer.value);
   return answer;
 }

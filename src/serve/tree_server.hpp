@@ -15,11 +15,12 @@
 // if a swap got in between) and serves from the slot's raw pointer, so
 // in-flight queries on the old snapshot finish against the old mapping.
 // swap() installs into the other slot once that slot's readers (queries
-// begun two epochs ago) are gone, then bumps the epoch. The state it
-// replaced stays mapped until its last reader leaves; the first query to
-// finish after that unmaps it (under a try_lock, so never blocking), and
-// swap() frees it itself only if no query did by the next swap (an idle
-// server). At most two epochs stay mapped, plus any state() handles still
+// begun two epochs ago) are gone, then bumps the epoch; it waits for them
+// without holding the mutex that state(), info() and reclaims take. The
+// state it replaced stays mapped until its last reader leaves; the first
+// query to finish after that unmaps it (under a try_lock, so never
+// blocking), and swap() frees it itself only if no query did by the next
+// swap (an idle server). At most two epochs stay mapped, plus any state() handles still
 // held. A failed swap keeps the current snapshot serving (the
 // "mmap.bytes" gauge lets tests assert no mapping leaks across swap
 // storms). TreeServer is a copyable handle; copies share the served epoch.
@@ -271,7 +272,10 @@ class TreeServer {
 
   /// Dominating delta_H(A, B) estimate via the vertex-cut-tree DP over
   /// the star expansion (A, B disjoint, non-empty sets of vertex ids);
-  /// visits only the root paths of A's and B's tree nodes.
+  /// visits only the root paths of A's and B's tree nodes. Refusals are
+  /// kInvalidArgument, checked in this order: an empty side; a vertex of
+  /// A out of range; per vertex of B in order, out of range or also in
+  /// A; sides whose vertices share a tree node (merged by preprocessing).
   StatusOr<SetCutAnswer> set_cut(const std::vector<std::int32_t>& a,
                                  const std::vector<std::int32_t>& b,
                                  const RunContext& ctx = {}) const;

@@ -260,6 +260,53 @@ TEST(TreeVertexCutDp, RootPathDpMatchesFullSweepOnAServedTree) {
   EXPECT_GT(compared, 1000);
 }
 
+TEST(TreeVertexCutDp, LargeTerminalSetsMatchFullSweepBitForBit) {
+  // Up to half of the embedded vertices on each side, on bushy trees and
+  // on chains a few thousand nodes deep: many chains wait in the frontier
+  // at once and merge at every depth.
+  ht::Rng rng(4099);
+  int compared = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto nodes = static_cast<NodeId>(1000 + rng.next_below(3000));
+    const bool chainy = trial % 2 == 0;
+    Tree t;
+    t.add_node(-1, rng.next_double() * 10.0);
+    for (NodeId v = 1; v < nodes; ++v) {
+      const auto span = chainy ? std::min<NodeId>(v, 3) : v;
+      const double w = rng.next_below(8) == 0 ? 0.0 : rng.next_double() * 10.0;
+      t.add_node(v - 1 - static_cast<NodeId>(rng.next_below(span)), w,
+                 rng.next_double());
+    }
+    const auto n = static_cast<VertexId>(nodes / 2);
+    t.reserve_vertices(n);
+    for (VertexId v = 0; v < n; ++v)
+      t.set_vertex_node(v, static_cast<NodeId>(rng.next_below(nodes)));
+    for (int q = 0; q < 8; ++q) {
+      // A and B from one shuffle; B skips vertices on A's nodes.
+      std::vector<VertexId> order(static_cast<std::size_t>(n));
+      for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+      rng.shuffle(order);
+      const auto na = static_cast<std::size_t>(1 + rng.next_below(n / 2));
+      const auto nb = static_cast<std::size_t>(1 + rng.next_below(n / 2));
+      std::vector<bool> a_node(static_cast<std::size_t>(nodes), false);
+      std::vector<VertexId> a(order.begin(), order.begin() + na), b;
+      for (VertexId v : a)
+        a_node[static_cast<std::size_t>(t.node_of_vertex(v))] = true;
+      for (std::size_t i = na; i < order.size() && b.size() < nb; ++i) {
+        if (!a_node[static_cast<std::size_t>(t.node_of_vertex(order[i]))])
+          b.push_back(order[i]);
+      }
+      ASSERT_FALSE(b.empty());
+      ASSERT_TRUE(same_bits(ht::cuttree::tree_vertex_cut_dp(t, a, b),
+                            full_sweep_vertex_cut_dp(t, a, b)))
+          << "trial " << trial << " query " << q << " |A| " << a.size()
+          << " |B| " << b.size();
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 24 * 8);
+}
+
 TEST(TreeVertexCutDp, KeepsTheTerminalChecks) {
   // A and B on one node, or an unembedded vertex on either side, is a
   // caller error.

@@ -338,17 +338,6 @@ TEST(Flight, WrapKeepsTheNewestCapacityRecords) {
   EXPECT_EQ(rec.recorded(), 20u);
 }
 
-TEST(Flight, DisabledRecorderAppendsNothing) {
-  ht::obs::FlightRecorder rec(8);
-  rec.set_enabled(false);
-  rec.append(make_record(ht::obs::QueryKind::kMinCut, 1.0));
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_TRUE(rec.dump().empty());
-  rec.set_enabled(true);
-  rec.append(make_record(ht::obs::QueryKind::kMinCut, 1.0));
-  EXPECT_EQ(rec.dump().size(), 1u);
-}
-
 TEST(Flight, DumpJsonIsVersionedAndParses) {
   ht::obs::FlightRecorder rec(8);
   rec.append(make_record(ht::obs::QueryKind::kSetCut, 7.0));
@@ -716,6 +705,32 @@ TEST(Trace, ChromeTraceJsonParsesAndCarriesSpanIds) {
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_EQ(contents, json);
+}
+
+TEST(Trace, ThreadBufferStopsAtTheCapAndCountsTheRest) {
+  // A fresh thread starts with an empty buffer; past the cap its spans
+  // are counted, not stored, and the export says how many are missing.
+  constexpr std::size_t kCap = ht::obs::Tracer::kMaxEventsPerThread;
+  auto& dropped =
+      ht::obs::MetricsRegistry::global().counter("trace.dropped_spans");
+  const std::uint64_t dropped_before = dropped.value();
+  TracingOn tracing;
+  std::thread worker([] {
+    for (std::size_t i = 0; i < kCap + 10; ++i) {
+      ht::obs::TraceSpan span("cap.span");
+    }
+  });
+  worker.join();
+  std::map<std::uint32_t, std::size_t> stored_per_thread;
+  for (const auto& ev : ht::obs::Tracer::global().collect()) {
+    if (std::string(ev.name) == "cap.span") ++stored_per_thread[ev.tid];
+  }
+  ASSERT_EQ(stored_per_thread.size(), 1u);
+  EXPECT_EQ(stored_per_thread.begin()->second, kCap);
+  EXPECT_EQ(dropped.value() - dropped_before, 10u);
+  const std::string json = ht::obs::Tracer::global().chrome_trace_json();
+  EXPECT_NE(json.find("\"otherData\":{\"dropped_spans\":10}"),
+            std::string::npos);
 }
 
 TEST(Trace, EnableMidSpanNeverCorruptsContext) {

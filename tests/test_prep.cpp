@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -560,6 +561,49 @@ TEST_F(PrepServeTest, SetCutAnswersAndRejectsNodeCollisions) {
   const auto answer = server.set_cut({merged_a}, {other});
   ASSERT_TRUE(answer.has_value());
   EXPECT_GT(answer->value, 0.0);
+}
+
+TEST_F(PrepServeTest, SetCutRejectionsKeepTheirMessagesAndOrder) {
+  // Heavy contraction merges {0, 1, 2} into one stored vertex, so 0 and 1
+  // share a tree node; 5 and 9 stay apart (both checked below).
+  const Hypergraph h = heavy_planted();
+  ht::snapshot::BuildReport report;
+  auto server = open_with_mode(h, ht::prep::PrepConfig::Mode::kExactOnly,
+                               &report);
+  ASSERT_TRUE(report.prep_applied);
+  const auto state = server.state();
+  ASSERT_EQ(state->to_stored(0), state->to_stored(1));
+  ASSERT_NE(state->to_stored(5), state->to_stored(9));
+  const std::string empty = "set_cut needs non-empty sides";
+  const std::string range = "set_cut vertex out of range";
+  const std::string overlap = "set_cut sides must be disjoint";
+  const std::string shared =
+      "set_cut sides share a tree node (vertices merged by preprocessing)";
+  const std::int32_t big = h.num_vertices();
+  struct Case {
+    std::vector<std::int32_t> a, b;
+    const std::string* message;
+  };
+  const Case cases[] = {
+      {{}, {5}, &empty},
+      {{5}, {}, &empty},
+      {{big}, {}, &empty},         // empty side before range
+      {{big}, {5}, &range},        // A out of range
+      {{-1}, {5}, &range},
+      {{5, big}, {5}, &range},     // A's range before overlap
+      {{5}, {9, 5, big}, &overlap},  // B in order: overlap first
+      {{5}, {9, big, 5}, &range},    // B in order: range first
+      {{0}, {1}, &shared},          // merged by preprocessing
+      {{0}, {1, big}, &range},      // every B check before shared node
+      {{0}, {1, 0}, &overlap},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const auto answer = server.set_cut(cases[i].a, cases[i].b);
+    ASSERT_FALSE(answer.ok()) << "case " << i;
+    EXPECT_EQ(answer.status().code(), ht::StatusCode::kInvalidArgument);
+    EXPECT_EQ(answer.status().message(), *cases[i].message) << "case " << i;
+  }
+  EXPECT_TRUE(server.set_cut({5}, {9}).ok());
 }
 
 // Kernelization takes no seed: under a seeded context the facade returns

@@ -423,6 +423,48 @@ TEST(TreeServer, SwapChangesAnswers) {
   std::remove(path2.c_str());
 }
 
+TEST(TreeServer, SwapWaitingForAPinnedQueryLeavesInfoFree) {
+  // A bisection on a 2,000-vertex instance (about 0.2 s in a
+  // RelWithDebInfo build on a 4-vCPU Xeon) pins epoch 1. The first swap
+  // takes the free slot; the second needs epoch 1's slot and waits for
+  // the bisection. That wait must not hold the mutex info(), state() and
+  // reclaim() take.
+  ht::Rng rng(2026);
+  const auto big = ht::hypergraph::random_uniform(2000, 4000, 3, rng);
+  ht::snapshot::BuildOptions vct_only;
+  vct_only.include_gomory_hu = false;
+  vct_only.include_decomposition = false;
+  const std::string big_path = testing::TempDir() + "serve_pinned_big.htsnap";
+  ASSERT_TRUE(ht::snapshot::write(big, big_path, vct_only).ok());
+  const std::string small_path =
+      write_snapshot(make_instance(9), "serve_pinned_small.htsnap");
+  auto server = ht::TreeServer::open(big_path);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+
+  const std::uint64_t queries_before = server->info().queries;
+  std::atomic<bool> bisection_done{false};
+  std::thread query([&] {
+    EXPECT_TRUE(server->bisection().ok());
+    bisection_done.store(true);
+  });
+  // info() counts the query once it has pinned its epoch.
+  while (server->info().queries == queries_before) std::this_thread::yield();
+  EXPECT_FALSE(bisection_done.load());
+  EXPECT_TRUE(server->swap(small_path).ok());
+  std::thread swapper([&] { EXPECT_TRUE(server->swap(small_path).ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const auto info = server->info();
+  const bool answered_before_info = bisection_done.load();
+  swapper.join();
+  query.join();
+  EXPECT_FALSE(answered_before_info)
+      << "info() returned only after the pinned bisection finished";
+  EXPECT_EQ(info.epoch, 2u);
+  EXPECT_EQ(server->epoch(), 3u);
+  std::remove(big_path.c_str());
+  std::remove(small_path.c_str());
+}
+
 TEST(TreeServer, SwapStormUnderConcurrentQueriesDropsNothingAndLeaksNothing) {
   const auto h1 = make_instance(11);
   const auto h2 = make_instance(12);
