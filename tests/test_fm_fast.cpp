@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/bisection.hpp"
 #include "hypergraph/generators.hpp"
 #include "partition/exact.hpp"
 #include "partition/fm.hpp"
 #include "partition/fm_fast.hpp"
+#include "partition/graph_bisection.hpp"
+#include "reduction/clique_expansion.hpp"
+#include "util/hash64.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -97,6 +104,123 @@ TEST(FmFast, WeightedEdgesRespected) {
       h, {true, false, true, false});  // bad start cuts both heavies
   ht::partition::validate_bisection(h, sol);
   EXPECT_DOUBLE_EQ(sol.cut, 1.0);
+}
+
+// ---------- FM call-path goldens ----------
+//
+// Every paper path that ends in FM (Theorem 1 and Corollary 3 polish, the
+// Theorem 2 branches, the FM baseline and the decomposition-tree graph
+// bisection), pinned by its cut and a hash of its side vector. The
+// instances have gain ties (unit weights) and non-dyadic weights, where a
+// different summation order or move tie-break changes the bits.
+
+using ht::hypergraph::EdgeId;
+
+/// `h` reweighted to 0.1 * (1 + e mod 17): no weight is a dyadic rational,
+/// so cut sums depend on the order they are accumulated in.
+Hypergraph non_dyadic(const Hypergraph& h) {
+  Hypergraph out(h.num_vertices());
+  for (EdgeId e = 0; e < h.num_edges(); ++e) {
+    const auto pins = h.pins(e);
+    out.add_edge({pins.begin(), pins.end()}, 0.1 * (1 + e % 17));
+  }
+  out.finalize();
+  return out;
+}
+
+constexpr int kGoldenInstances = 3;
+
+Hypergraph golden_instance(int i) {
+  ht::Rng rng(static_cast<std::uint64_t>(101 + i));
+  switch (i) {
+    case 0:
+      return ht::hypergraph::random_uniform(24, 60, 3, rng);
+    case 1:
+      return non_dyadic(ht::hypergraph::planted_bisection(14, 3, 40, 4, rng));
+    default:
+      return non_dyadic(ht::hypergraph::netlist_like(32, 64, 2, rng));
+  }
+}
+
+struct Golden {
+  double cut;
+  std::uint64_t side_hash;
+};
+
+void expect_golden(const ht::partition::BisectionSolution& s, const Golden& g,
+                   int instance) {
+  const std::vector<std::uint8_t> bytes(s.side.begin(), s.side.end());
+  const std::uint64_t hash = ht::hash64(bytes.data(), bytes.size());
+  EXPECT_TRUE(s.valid) << "instance " << instance;
+  EXPECT_EQ(s.cut, g.cut) << "instance " << instance;
+  EXPECT_EQ(hash, g.side_hash) << "instance " << instance;
+}
+
+TEST(FmPathGoldens, Theorem1Polish) {
+  const Golden golden[kGoldenInstances] = {
+      {30, 0xd88bc5010ede4943ULL},
+      {5.8000000000000007, 0x22cf032b227f8846ULL},
+      {21.100000000000001, 0x38d8812b94d8e9b1ULL}};
+  for (int i = 0; i < kGoldenInstances; ++i)
+    expect_golden(ht::core::bisect_theorem1(golden_instance(i)).solution,
+                  golden[i], i);
+}
+
+TEST(FmPathGoldens, CutTreePolish) {
+  const Golden golden[kGoldenInstances] = {
+      {31, 0xe57425a36ad1e394ULL},
+      {5.8000000000000007, 0xd47de262e74f5ff6ULL},
+      {22.100000000000001, 0x817c6f411091abdfULL}};
+  for (int i = 0; i < kGoldenInstances; ++i)
+    expect_golden(ht::core::bisect_via_cut_tree(golden_instance(i)).solution,
+                  golden[i], i);
+}
+
+TEST(FmPathGoldens, SmallEdgeBranch) {
+  const Golden golden[kGoldenInstances] = {
+      {30, 0x335b9d395d065355ULL},
+      {5.8000000000000007, 0x22cf032b227f8846ULL},
+      {21.100000000000001, 0x7f80cb2f85dcca4fULL}};
+  for (int i = 0; i < kGoldenInstances; ++i)
+    expect_golden(ht::core::bisect_small_edges(golden_instance(i)).solution,
+                  golden[i], i);
+}
+
+TEST(FmPathGoldens, LargeEdgeBranch) {
+  const Golden golden[kGoldenInstances] = {
+      {30, 0x40c655732acc749bULL},
+      {5.8000000000000007, 0x22cf032b227f8846ULL},
+      {21.199999999999999, 0xc06ad61d8a21a4d9ULL}};
+  for (int i = 0; i < kGoldenInstances; ++i)
+    expect_golden(ht::core::bisect_large_edges(golden_instance(i)).solution,
+                  golden[i], i);
+}
+
+TEST(FmPathGoldens, FmBaseline) {
+  const Golden golden[kGoldenInstances] = {
+      {30, 0xe54486079dd36331ULL},
+      {5.8000000000000007, 0x22cf032b227f8846ULL},
+      {21.100000000000001, 0x7f80cb2f85dcca4fULL}};
+  for (int i = 0; i < kGoldenInstances; ++i) {
+    ht::Rng rng(7);
+    expect_golden(
+        ht::core::bisect_fm_baseline(golden_instance(i), rng).solution,
+        golden[i], i);
+  }
+}
+
+TEST(FmPathGoldens, GraphBisectionTreeBasedPolish) {
+  const Golden golden[kGoldenInstances] = {
+      {30, 0x335b9d395d065355ULL},
+      {5.7999999999999998, 0xd47de262e74f5ff6ULL},
+      {24.286666666666633, 0x17b4915683df7a84ULL}};
+  for (int i = 0; i < kGoldenInstances; ++i) {
+    ht::Rng rng(8);
+    expect_golden(ht::partition::graph_bisection_tree_based(
+                      ht::reduction::clique_expansion(golden_instance(i)),
+                      rng, /*fm_polish=*/true),
+                  golden[i], i);
+  }
 }
 
 }  // namespace
