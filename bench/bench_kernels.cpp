@@ -12,7 +12,6 @@
 #include "hypergraph/generators.hpp"
 #include "lp/spectral.hpp"
 #include "partition/fm.hpp"
-#include "partition/fm_fast.hpp"
 #include "partition/sparsest_cut.hpp"
 #include "reduction/star_expansion.hpp"
 #include "util/rng.hpp"
@@ -72,19 +71,7 @@ void BM_FmBisection(benchmark::State& state) {
         ht::partition::fm_bisection(h, inner, 2).cut);
   }
 }
-BENCHMARK(BM_FmBisection)->Arg(64)->Arg(256)->Arg(512);
-
-void BM_FmBisectionFast(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  ht::Rng rng(5);
-  const auto h = ht::hypergraph::random_uniform(n, 3 * n, 4, rng);
-  for (auto _ : state) {
-    ht::Rng inner(6);
-    benchmark::DoNotOptimize(
-        ht::partition::fm_bisection_fast(h, inner, 2).cut);
-  }
-}
-BENCHMARK(BM_FmBisectionFast)->Arg(64)->Arg(256)->Arg(512)->Arg(2048);
+BENCHMARK(BM_FmBisection)->Arg(64)->Arg(256)->Arg(512)->Arg(2048)->Arg(4096);
 
 void BM_Fiedler(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));

@@ -24,6 +24,9 @@ using ht::partition::BisectionSolution;
 namespace {
 
 constexpr double kHuge = 1e200;
+/// Random starts of the FM raced against the decomposition-tree bisection
+/// on Lemma 1's clique expansion.
+constexpr int kSmallEdgeFmStarts = 8;
 
 struct Phase1Result {
   std::vector<std::vector<VertexId>> pieces;  // original vertex ids
@@ -489,7 +492,7 @@ BisectionReport bisect_small_edges(const Hypergraph& h,
   for (const auto& e : expansion.edges()) wrapper.add_edge({e.u, e.v}, e.weight);
   wrapper.finalize();
   BisectionSolution graph_sol =
-      ht::partition::fm_bisection(wrapper, rng, options.fm_starts);
+      ht::partition::fm_bisection(wrapper, rng, kSmallEdgeFmStarts);
   if (expansion.num_edges() > 0) {
     BisectionSolution tree_sol =
         ht::partition::graph_bisection_tree_based(expansion, rng);

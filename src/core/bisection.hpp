@@ -60,7 +60,6 @@ BisectionReport bisect_theorem1(const ht::hypergraph::Hypergraph& h,
 
 struct SmallEdgeOptions {
   std::uint64_t seed = 0x5eedULL;
-  std::int32_t fm_starts = 8;
 };
 BisectionReport bisect_small_edges(const ht::hypergraph::Hypergraph& h,
                                    const SmallEdgeOptions& options = {});

@@ -16,6 +16,10 @@ using ht::graph::Graph;
 
 namespace {
 
+/// Clusters of at most this many vertices are split by the exact sparsest
+/// cut (exponential in the cluster size).
+constexpr std::size_t kExactSplitLimit = 12;
+
 /// One child slot of a cluster: either a single-vertex leaf or a nested
 /// cluster (index into the cluster record table).
 struct ChildEntry {
@@ -105,8 +109,7 @@ DecompositionTreeResult build_decomposition_tree_run(
       result.expand_leaves = true;
       return result;
     }
-    if (static_cast<std::int32_t>(vertices.size()) <=
-        std::max(options.leaf_cluster_size, 1)) {
+    if (vertices.size() <= 1) {
       result.expand_leaves = true;
       result.leaf_cuts.reserve(vertices.size());
       for (VertexId v : vertices)
@@ -145,8 +148,7 @@ DecompositionTreeResult build_decomposition_tree_run(
       for (VertexId v : vertices) parts.push_back({v});
     } else {
       ht::partition::SparsestCutResult cut;
-      if (static_cast<std::int32_t>(vertices.size()) <=
-          options.exact_limit) {
+      if (vertices.size() <= kExactSplitLimit) {
         cut = ht::partition::sparsest_hyperedge_cut_exact(wrapper);
       } else {
         cut = ht::partition::sparsest_hyperedge_cut(wrapper, rng);

@@ -23,11 +23,6 @@ namespace ht::cuttree {
 
 struct DecompositionOptions {
   std::uint64_t seed = 0x5eedULL;
-  /// Clusters of at most this size are split exactly.
-  std::int32_t exact_limit = 12;
-  /// Stop splitting clusters below this size (they become stars of
-  /// leaves). 1 = decompose fully.
-  std::int32_t leaf_cluster_size = 1;
 };
 
 struct DecompositionTreeResult {

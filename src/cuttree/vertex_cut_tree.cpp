@@ -14,6 +14,10 @@ using ht::graph::Graph;
 
 namespace {
 
+/// Pieces of at most this many vertices use the exact min-ratio oracle
+/// (exponential in the piece size).
+constexpr std::size_t kExactOracleLimit = 10;
+
 /// Outcome of processing one piece: either the piece survives (no cut
 /// below threshold) or it is split by a separator into components.
 struct PieceOutcome {
@@ -76,8 +80,7 @@ VertexCutTreeResult build_vertex_cut_tree(const Graph& g,
     const ht::graph::SubsetView view(g, piece);
     const auto sub = view.materialize();
     ht::partition::VertexSeparator sep;
-    if (static_cast<std::int32_t>(piece.size()) <=
-        options.exact_oracle_limit) {
+    if (piece.size() <= kExactOracleLimit) {
       sep = ht::partition::min_ratio_vertex_cut_exact(sub.graph);
     } else {
       sep = ht::partition::min_ratio_vertex_cut(sub.graph, rng);

@@ -28,9 +28,6 @@ struct VertexCutTreeOptions {
   /// Assumed approximation factor of the min-ratio oracle (enters the
   /// stopping threshold alpha * f(W)). <= 0 means sqrt(log2 n).
   double alpha = 0.0;
-  /// Use the exact min-ratio oracle on pieces of at most this many
-  /// vertices (exponential; keep small).
-  std::int32_t exact_oracle_limit = 10;
   std::uint64_t seed = 0x5eedULL;
   /// Overrides the sparsity stopping threshold entirely when > 0
   /// (used by ablation benches).

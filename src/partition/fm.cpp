@@ -1,6 +1,7 @@
 #include "partition/fm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace ht::partition {
@@ -11,49 +12,148 @@ using ht::hypergraph::VertexId;
 
 namespace {
 
-/// Pin counts per side for every hyperedge, kept incrementally.
-struct PinCounts {
-  std::vector<std::int32_t> on_side[2];
+/// A heap entry: a vertex and the gain it had when pushed. Entries go stale
+/// when the vertex locks or its gain changes; they are dropped when they
+/// reach the top.
+struct Candidate {
+  double gain;
+  VertexId v;
+};
 
-  void build(const Hypergraph& h, const std::vector<bool>& side) {
-    for (auto& s : on_side)
-      s.assign(static_cast<std::size_t>(h.num_edges()), 0);
-    for (EdgeId e = 0; e < h.num_edges(); ++e)
-      for (VertexId v : h.pins(e))
-        ++on_side[side[static_cast<std::size_t>(v)] ? 1 : 0]
-                 [static_cast<std::size_t>(e)];
+/// Heap order: the top is the largest gain, ties to the smallest id.
+bool ranks_below(const Candidate& a, const Candidate& b) {
+  return a.gain < b.gain || (a.gain == b.gain && a.v > b.v);
+}
+
+/// One FM pass's state: pins per side per edge, the side and lock of every
+/// vertex, cached gains and one lazy max-heap per side. Buffers are reused
+/// across passes.
+class FmPass {
+ public:
+  explicit FmPass(const Hypergraph& h)
+      : h_(h),
+        on_side_(static_cast<std::size_t>(h.num_edges())),
+        side_(static_cast<std::size_t>(h.num_vertices())),
+        locked_(side_.size()),
+        dirty_(side_.size()),
+        gain_(side_.size()) {}
+
+  /// Loads `side` and computes every gain.
+  void reset(const std::vector<bool>& side) {
+    const VertexId n = h_.num_vertices();
+    for (VertexId v = 0; v < n; ++v)
+      side_[static_cast<std::size_t>(v)] =
+          side[static_cast<std::size_t>(v)] ? 1 : 0;
+    for (EdgeId e = 0; e < h_.num_edges(); ++e) {
+      auto& count = on_side_[static_cast<std::size_t>(e)];
+      count = {0, 0};
+      for (VertexId v : h_.pins(e)) ++count[side_[static_cast<std::size_t>(v)]];
+    }
+    std::fill(locked_.begin(), locked_.end(), 0);
+    for (auto& heap : heap_) heap.clear();
+    for (VertexId v = 0; v < n; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      gain_[i] = compute_gain(v);
+      heap_[side_[i]].push_back({gain_[i], v});
+    }
+    for (auto& heap : heap_)
+      std::make_heap(heap.begin(), heap.end(), ranks_below);
   }
 
-  double cut(const Hypergraph& h) const {
+  /// Cut of the loaded side vector, summed in edge order.
+  double cut() const {
     double total = 0.0;
-    for (EdgeId e = 0; e < h.num_edges(); ++e)
-      if (on_side[0][static_cast<std::size_t>(e)] > 0 &&
-          on_side[1][static_cast<std::size_t>(e)] > 0)
-        total += h.edge_weight(e);
+    for (EdgeId e = 0; e < h_.num_edges(); ++e) {
+      const auto& count = on_side_[static_cast<std::size_t>(e)];
+      if (count[0] > 0 && count[1] > 0) total += h_.edge_weight(e);
+    }
     return total;
   }
 
-  /// Cut-weight change if v moves from `from` to 1-from.
-  double gain(const Hypergraph& h, VertexId v, int from) const {
-    double g = 0.0;
+  double gain(VertexId v) const { return gain_[static_cast<std::size_t>(v)]; }
+  int side(VertexId v) const { return side_[static_cast<std::size_t>(v)]; }
+
+  /// The unlocked vertex of side `from` with the largest gain (ties to the
+  /// smallest id), or -1 if none is left.
+  VertexId best_on(int from) {
+    auto& heap = heap_[from];
+    while (!heap.empty()) {
+      const Candidate& top = heap.front();
+      const auto i = static_cast<std::size_t>(top.v);
+      if (!locked_[i] && top.gain == gain_[i]) return top.v;
+      std::pop_heap(heap.begin(), heap.end(), ranks_below);
+      heap.pop_back();
+    }
+    return -1;
+  }
+
+  /// Moves v to the other side and locks it. Only the pins of edges whose
+  /// pin counts cross a gain threshold are re-gained.
+  void move(VertexId v) {
+    const int from = side(v);
     const int to = 1 - from;
-    for (EdgeId e : h.incident_edges(v)) {
-      const auto idx = static_cast<std::size_t>(e);
-      if (on_side[from][idx] == 1 && on_side[to][idx] > 0)
-        g += h.edge_weight(e);  // edge becomes uncut
-      else if (on_side[to][idx] == 0)
-        g -= h.edge_weight(e);  // edge becomes cut
+    locked_[static_cast<std::size_t>(v)] = 1;
+    side_[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(to);
+    for (EdgeId e : h_.incident_edges(v)) {
+      auto& count = on_side_[static_cast<std::size_t>(e)];
+      const std::int32_t on_from = count[from]--;
+      const std::int32_t on_to = count[to]++;
+      // Counts before the move. A pin left on `from` had -w (the edge would
+      // become cut) iff on_to was 0, and now has +w (the edge would become
+      // uncut) iff on_from was 2. A pin on `to` had +w iff on_to was 1, and
+      // now has -w iff on_from was 1.
+      const bool from_pins = on_to == 0 || on_from == 2;
+      const bool to_pins = on_to == 1 || on_from == 1;
+      if (!from_pins && !to_pins) continue;
+      for (VertexId u : h_.pins(e)) {
+        const auto i = static_cast<std::size_t>(u);
+        if (locked_[i] || dirty_[i]) continue;
+        if (side_[i] == from ? from_pins : to_pins) {
+          dirty_[i] = 1;
+          touched_.push_back(u);
+        }
+      }
+    }
+    for (VertexId u : touched_) {
+      const auto i = static_cast<std::size_t>(u);
+      dirty_[i] = 0;
+      const double g = compute_gain(u);
+      if (g == gain_[i]) continue;  // its live entry is still in the heap
+      gain_[i] = g;
+      auto& heap = heap_[side_[i]];
+      heap.push_back({g, u});
+      std::push_heap(heap.begin(), heap.end(), ranks_below);
+    }
+    touched_.clear();
+  }
+
+ private:
+  /// Cut-weight change if v moves off its side: +w for each incident edge
+  /// it would uncut, -w for each it would cut, added in incidence order.
+  /// A gain is always recomputed, never patched, so it is the same double
+  /// a fresh scan of the current pin counts would produce.
+  double compute_gain(VertexId v) const {
+    const int from = side(v);
+    const int to = 1 - from;
+    double g = 0.0;
+    for (EdgeId e : h_.incident_edges(v)) {
+      const auto& count = on_side_[static_cast<std::size_t>(e)];
+      if (count[from] == 1 && count[to] > 0)
+        g += h_.edge_weight(e);  // edge becomes uncut
+      else if (count[to] == 0)
+        g -= h_.edge_weight(e);  // edge becomes cut
     }
     return g;
   }
 
-  void apply_move(const Hypergraph& h, VertexId v, int from) {
-    for (EdgeId e : h.incident_edges(v)) {
-      const auto idx = static_cast<std::size_t>(e);
-      --on_side[from][idx];
-      ++on_side[1 - from][idx];
-    }
-  }
+  const Hypergraph& h_;
+  std::vector<std::array<std::int32_t, 2>> on_side_;  // pins of e per side
+  std::vector<std::uint8_t> side_;
+  std::vector<std::uint8_t> locked_;
+  std::vector<std::uint8_t> dirty_;
+  std::vector<double> gain_;
+  std::vector<Candidate> heap_[2];
+  std::vector<VertexId> touched_;
 };
 
 }  // namespace
@@ -71,47 +171,38 @@ BisectionSolution fm_refine(const Hypergraph& h, std::vector<bool> start,
     HT_CHECK_MSG(count1 == half, "start partition unbalanced");
   }
 
-  PinCounts counts;
-  counts.build(h, start);
-  double current_cut = counts.cut(h);
-
+  FmPass state(h);
+  state.reset(start);
   BisectionSolution best;
-  best.side = start;
-  best.cut = current_cut;
+  best.cut = state.cut();
+  best.side = std::move(start);
   best.valid = true;
 
+  std::vector<VertexId> move_sequence;
+  std::vector<double> cut_after_move;
+  move_sequence.reserve(static_cast<std::size_t>(n));
+  cut_after_move.reserve(static_cast<std::size_t>(n));
   for (int pass = 0; pass < max_passes; ++pass) {
-    std::vector<bool> side = best.side;
-    counts.build(h, side);
+    if (pass > 0) state.reset(best.side);
     double cut = best.cut;
     VertexId on_one = half;
-
-    std::vector<bool> locked(static_cast<std::size_t>(n), false);
-    std::vector<VertexId> move_sequence;
-    std::vector<double> cut_after_move;
-    move_sequence.reserve(static_cast<std::size_t>(n));
+    move_sequence.clear();
+    cut_after_move.clear();
 
     for (VertexId step = 0; step < n; ++step) {
-      VertexId best_v = -1;
-      double best_gain = 0.0;
-      // Balance rule: imbalance after the move must stay within 1 vertex.
-      for (VertexId v = 0; v < n; ++v) {
-        if (locked[static_cast<std::size_t>(v)]) continue;
-        const int from = side[static_cast<std::size_t>(v)] ? 1 : 0;
-        const VertexId new_on_one = on_one + (from == 0 ? 1 : -1);
-        if (std::abs(new_on_one - half) > 1) continue;
-        const double gain = counts.gain(h, v, from);
-        if (best_v == -1 || gain > best_gain) {
-          best_v = v;
-          best_gain = gain;
-        }
-      }
+      // Balance rule: imbalance after the move must stay within 1 vertex,
+      // so at imbalance +-1 only the heavier side may give up a vertex.
+      const VertexId best0 = on_one <= half ? state.best_on(0) : -1;
+      const VertexId best1 = on_one >= half ? state.best_on(1) : -1;
+      VertexId best_v = best0;
+      if (best1 != -1 &&
+          (best0 == -1 || ranks_below({state.gain(best0), best0},
+                                      {state.gain(best1), best1})))
+        best_v = best1;
       if (best_v == -1) break;
-      const int from = side[static_cast<std::size_t>(best_v)] ? 1 : 0;
-      counts.apply_move(h, best_v, from);
-      side[static_cast<std::size_t>(best_v)] = (from == 0);
-      on_one += (from == 0 ? 1 : -1);
-      locked[static_cast<std::size_t>(best_v)] = true;
+      const double best_gain = state.gain(best_v);
+      on_one += state.side(best_v) == 0 ? 1 : -1;
+      state.move(best_v);
       cut -= best_gain;
       move_sequence.push_back(best_v);
       cut_after_move.push_back(on_one == half ? cut : 1e300);
@@ -127,12 +218,10 @@ BisectionSolution fm_refine(const Hypergraph& h, std::vector<bool> start,
       }
     }
     if (best_prefix == 0) break;  // pass produced no balanced improvement
-    std::vector<bool> improved = best.side;
     for (std::size_t i = 0; i < best_prefix; ++i) {
       const auto v = static_cast<std::size_t>(move_sequence[i]);
-      improved[v] = !improved[v];
+      best.side[v] = !best.side[v];
     }
-    best.side = std::move(improved);
     best.cut = best_prefix_cut;
   }
   // Re-evaluate combinatorially: the reported cut is never the incremental

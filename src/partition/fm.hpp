@@ -1,9 +1,17 @@
 // Fiduccia–Mattheyses bisection refinement for hypergraphs.
 //
 // This is the practitioner baseline the paper's novelty discussion points
-// at (heuristic partitioners), and the refinement engine reused by the
-// spectral graph-bisection heuristic. Exact balance (|V|/2 per side) with
-// the usual one-vertex transient slack inside a pass.
+// at (heuristic partitioners), and the refinement the other paths end in:
+// the Theorem 1 and Corollary 3 polish, the Theorem 2 small-edge
+// branch, the decomposition-tree graph bisection, k-way and multilevel.
+// Exact balance (|V|/2 per side) with the usual one-vertex transient slack
+// inside a pass.
+//
+// The move rule is part of the output contract: the largest gain moves,
+// ties to the smallest vertex id. Gains are cached, recomputed only when an
+// incident edge's pin counts cross a gain threshold, and moves come from
+// one lazy max-heap per side; the results equal the O(n·deg) rescan in
+// tests/reference_fm.hpp bit for bit.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "hypergraph/subset_view.hpp"
-#include "partition/fm_fast.hpp"
+#include "partition/fm.hpp"
 #include "partition/unbalanced_kcut.hpp"
 
 namespace ht::partition {
@@ -95,7 +95,7 @@ void recurse(const Hypergraph& h, const std::vector<VertexId>& vertices,
       bisection.side[i] = true;
     bisection.valid = true;
   } else {
-    bisection = fm_bisection_fast(sub.hypergraph, rng, 4);
+    bisection = fm_bisection(sub.hypergraph, rng, 4);
   }
   std::vector<VertexId> left, right;
   for (std::size_t i = 0; i < vertices.size(); ++i)

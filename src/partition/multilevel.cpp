@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "partition/cut_tracker.hpp"
-#include "partition/fm_fast.hpp"
 
 namespace ht::partition {
 
@@ -13,6 +12,15 @@ using ht::hypergraph::Hypergraph;
 using ht::hypergraph::VertexId;
 
 namespace {
+
+/// Stop coarsening when at most this many vertices remain.
+constexpr VertexId kCoarsestSize = 32;
+/// Maximum ratio of cluster weight to average (prevents gorging).
+constexpr double kMaxClusterWeightFactor = 4.0;
+/// Passes of the weight-aware refinement at every level.
+constexpr int kRefinePasses = 16;
+/// Random starts of the coarsest-level partition.
+constexpr int kCoarsestStarts = 8;
 
 struct Level {
   Hypergraph hypergraph;
@@ -78,12 +86,12 @@ double side_weight(const Hypergraph& h, const std::vector<bool>& side) {
 /// Weight-aware FM-style refinement: first-improvement single-vertex moves
 /// that reduce the cut while keeping |w(side1) - W/2| <= tolerance.
 void refine_weighted(const Hypergraph& h, std::vector<bool>& side,
-                     double tolerance, int max_passes) {
+                     double tolerance) {
   CutTracker tracker(h);
   tracker.build(side);
   const double half = h.total_vertex_weight() / 2.0;
   double w1 = side_weight(h, side);
-  for (int pass = 0; pass < max_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     bool improved = false;
     for (VertexId v = 0; v < h.num_vertices(); ++v) {
       const bool on_one = tracker.on_side(v);
@@ -104,13 +112,12 @@ void refine_weighted(const Hypergraph& h, std::vector<bool>& side,
 
 /// Balanced-by-weight initial partition of the coarsest level: LPT bin
 /// assignment with randomized tie noise, multi-start.
-std::vector<bool> coarsest_partition(const Hypergraph& h, ht::Rng& rng,
-                                     int starts, int fm_passes) {
+std::vector<bool> coarsest_partition(const Hypergraph& h, ht::Rng& rng) {
   const VertexId n = h.num_vertices();
   const double half = h.total_vertex_weight() / 2.0;
   std::vector<bool> best;
   double best_cut = 1e300;
-  for (int s = 0; s < starts; ++s) {
+  for (int s = 0; s < kCoarsestStarts; ++s) {
     std::vector<VertexId> order(static_cast<std::size_t>(n));
     for (VertexId v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
     std::sort(order.begin(), order.end(), [&](VertexId l, VertexId r) {
@@ -133,7 +140,7 @@ std::vector<bool> coarsest_partition(const Hypergraph& h, ht::Rng& rng,
     const double tolerance =
         std::max(0.02 * h.total_vertex_weight(),
                  2.0 * std::fabs(w1 - half));
-    refine_weighted(h, side, tolerance, fm_passes);
+    refine_weighted(h, side, tolerance);
     const double cut = h.cut_weight(side);
     if (cut < best_cut) {
       best_cut = cut;
@@ -145,8 +152,7 @@ std::vector<bool> coarsest_partition(const Hypergraph& h, ht::Rng& rng,
 
 }  // namespace
 
-BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng,
-                                       const MultilevelOptions& options) {
+BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng) {
   HT_CHECK(h.finalized());
   const VertexId n = h.num_vertices();
   HT_CHECK(n >= 2 && n % 2 == 0);
@@ -167,10 +173,9 @@ BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng,
     levels.back().hypergraph = std::move(unit);
   }
   const double max_cluster_weight =
-      options.max_cluster_weight_factor *
-      std::max(2.0, static_cast<double>(n) /
-                        std::max(options.coarsest_size, 2));
-  while (levels.back().hypergraph.num_vertices() > options.coarsest_size) {
+      kMaxClusterWeightFactor *
+      std::max(2.0, static_cast<double>(n) / kCoarsestSize);
+  while (levels.back().hypergraph.num_vertices() > kCoarsestSize) {
     auto [cluster, count] =
         match_round(levels.back().hypergraph, max_cluster_weight, rng);
     if (count == 0) break;  // no further contraction possible
@@ -181,9 +186,7 @@ BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng,
   }
 
   // ---- coarsest solve ----
-  std::vector<bool> side =
-      coarsest_partition(levels.back().hypergraph, rng,
-                         options.coarsest_starts, options.fm_passes);
+  std::vector<bool> side = coarsest_partition(levels.back().hypergraph, rng);
 
   // ---- uncoarsening + refinement ----
   for (std::size_t level = levels.size() - 1; level-- > 0;) {
@@ -199,8 +202,7 @@ BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng,
         level == 0 ? 0.0
                    : 0.03 * fine.hypergraph.total_vertex_weight();
     if (level > 0) {
-      refine_weighted(fine.hypergraph, fine_side, tolerance,
-                      options.fm_passes);
+      refine_weighted(fine.hypergraph, fine_side, tolerance);
     }
     side = std::move(fine_side);
   }
@@ -226,7 +228,7 @@ BisectionSolution multilevel_bisection(const Hypergraph& h, ht::Rng& rng,
     tracker.flip(pick);
     on_one += from_one ? -1 : 1;
   }
-  BisectionSolution refined = fm_refine_fast(h, tracker.side(), 8);
+  BisectionSolution refined = fm_refine(h, tracker.side(), 8);
   return refined;
 }
 

@@ -18,20 +18,10 @@
 
 namespace ht::partition {
 
-struct MultilevelOptions {
-  /// Stop coarsening when at most this many vertices remain.
-  std::int32_t coarsest_size = 32;
-  /// Maximum ratio of cluster weight to average (prevents gorging).
-  double max_cluster_weight_factor = 4.0;
-  int fm_passes = 16;
-  int coarsest_starts = 8;
-};
-
 /// Multilevel bisection. n must be even; balance is by vertex COUNT
 /// (matching the paper's bisection definition), enforced exactly at the
 /// finest level.
 BisectionSolution multilevel_bisection(const ht::hypergraph::Hypergraph& h,
-                                       ht::Rng& rng,
-                                       const MultilevelOptions& options = {});
+                                       ht::Rng& rng);
 
 }  // namespace ht::partition

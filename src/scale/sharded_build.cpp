@@ -381,7 +381,6 @@ Status build_from_manifest(const ShardManifest& manifest,
   if (rep.complete) meta.artifact_flags |= snapshot::kGomoryHuComplete;
 
   snapshot::Writer writer;
-  writer.set_timestamp(options.timestamp_unix_s);
   writer.add_meta(meta);
   writer.add_owned_bytes(snapshot::SectionKind::kVertexWeights, 8,
                          std::move(vweights_bytes));
@@ -432,10 +431,8 @@ Status build_snapshot_sharded(const std::string& hmetis_path,
   auto manifest = shard_hmetis_file(hmetis_path, ingest);
   if (!manifest.ok()) return manifest.status();
   Status built = build_from_manifest(*manifest, out_path, options, report);
-  if (!options.keep_temp) {
-    std::error_code ec;
-    std::filesystem::remove_all(ingest.temp_dir, ec);
-  }
+  std::error_code ec;
+  std::filesystem::remove_all(ingest.temp_dir, ec);
   return built;
 }
 

@@ -48,13 +48,9 @@ struct ShardOptions {
   std::size_t memory_budget_bytes = 0;
   /// Provenance seed stored in the snapshot meta block.
   std::uint64_t seed = 0;
-  /// Provenance timestamp; 0 keeps snapshot bytes deterministic.
-  std::uint64_t timestamp_unix_s = 0;
   std::string build_info;
   /// Spill directory; "" derives `<out_path>.shards`.
   std::string temp_dir;
-  /// Keep the spill files after the build (tests, debugging).
-  bool keep_temp = false;
 };
 
 struct ShardBuildReport {

@@ -236,7 +236,6 @@ StatusOr<std::string> build(const Hypergraph& h, const BuildOptions& options,
   meta.num_pins = static_cast<std::int64_t>(pins.size());
 
   Writer writer;
-  writer.set_timestamp(options.timestamp_unix_s);
 
   // The three artifacts are independent functions of `stored`: build them
   // as one fork-join on the global pool. The caller claims artifacts

@@ -54,8 +54,6 @@ struct BuildOptions {
   bool include_gomory_hu = true;
   bool include_vertex_cut_tree = true;
   bool include_decomposition = true;
-  /// Provenance stamp; 0 (default) keeps the output byte-deterministic.
-  std::uint64_t timestamp_unix_s = 0;
   /// Free-form provenance text stored in the kBuildInfo section.
   std::string build_info;
   /// Preprocessing run before any artifact is built (default off). When

@@ -94,7 +94,7 @@ struct RawHeader {
   std::uint32_t header_bytes;   // sizeof(RawHeader), belt and braces
   std::uint64_t file_size;      // total bytes; validated against the map
   std::uint64_t toc_offset;     // byte offset of the RawSection table
-  std::uint64_t created_unix_s; // 0 unless the writer stamps a time
+  std::uint64_t created_unix_s; // always 0: snapshots carry no timestamp
   std::uint64_t toc_checksum;   // hash64 over the TOC bytes
   std::uint64_t header_checksum;
 };

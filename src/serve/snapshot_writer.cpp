@@ -65,7 +65,6 @@ StatusOr<std::string> Writer::serialize() const {
   header.header_bytes = sizeof(RawHeader);
   header.file_size = file_size;
   header.toc_offset = toc_offset;
-  header.created_unix_s = created_unix_s_;
   header.toc_checksum =
       hash64(toc.data(), toc.size() * sizeof(RawSection), kChecksumSeed);
   header.header_checksum =

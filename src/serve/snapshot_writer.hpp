@@ -8,10 +8,9 @@
 //   Status s = w.write_file("out.htsnap");   // atomic: tmp file + rename
 //
 // serialize() is deterministic: the same sections in the same order
-// produce byte-identical output (created_unix_s defaults to 0 precisely
-// so that two builds of the same instance can be compared with memcmp —
-// the round-trip tests and the CI snapshot-compat job rely on this).
-// Writers that want a provenance timestamp opt in via set_timestamp().
+// produce byte-identical output. The header's created_unix_s is always 0,
+// so two builds of the same instance can be compared with memcmp — the
+// round-trip tests and the CI snapshot-compat job rely on this.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +57,6 @@ class Writer {
     add_bytes(SectionKind::kBuildInfo, 1, text.data(), text.size());
   }
 
-  /// Provenance timestamp stored in the header; leave unset (0) when
-  /// byte-determinism across builds matters more than provenance.
-  void set_timestamp(std::uint64_t unix_seconds) {
-    created_unix_s_ = unix_seconds;
-  }
-
   std::size_t section_count() const { return sections_.size(); }
 
   /// Renders the complete file image. kInvalidArgument on duplicate
@@ -82,7 +75,6 @@ class Writer {
     std::string payload;
   };
   std::vector<Pending> sections_;
-  std::uint64_t created_unix_s_ = 0;
 };
 
 }  // namespace ht::snapshot

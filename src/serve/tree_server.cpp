@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <mutex>
@@ -418,6 +419,19 @@ struct ServerShared {
     return total;
   }
 
+  /// Returns once no query is registered for `parity`. The first check is
+  /// a plain load, so a swap nobody blocks never sleeps; after that the
+  /// wait sleeps, doubling from 1 us to 1 ms, instead of spinning a core
+  /// for as long as a pinned query runs.
+  void wait_for_readers(int parity) const {
+    static constexpr std::chrono::microseconds kMaxSleep{1000};
+    std::chrono::microseconds sleep{1};
+    while (readers(parity) != 0) {
+      std::this_thread::sleep_for(sleep);
+      sleep = std::min(2 * sleep, kMaxSleep);
+    }
+  }
+
   /// Frees the replaced state once its last reader has left. Queries call
   /// this as they finish, so the unmap runs on a query thread and never
   /// on swap()'s timed path; losing the try_lock just leaves it to the
@@ -672,7 +686,7 @@ Status TreeServer::swap(const std::string& path) {
     // read the slot being replaced; they finish against it first. The
     // wait holds no lock, so state(), info() and reclaim() never queue
     // behind a query preempted while pinned to that epoch.
-    while (shared.readers(parity) != 0) std::this_thread::yield();
+    shared.wait_for_readers(parity);
     std::lock_guard<std::mutex> lock(shared.mu);
     // While the epoch stays e no query can pin this parity: a query keeps
     // its count only if the epoch it re-reads equals the one it counted

@@ -206,61 +206,6 @@ TEST(SparsestCut, DisconnectedIsFree) {
   EXPECT_DOUBLE_EQ(cut.sparsity, 0.0);
 }
 
-// ---------- FM ----------
-
-TEST(Fm, RefineKeepsBalanceAndImproves) {
-  ht::Rng rng(11);
-  const Hypergraph h = ht::hypergraph::planted_bisection(10, 3, 30, 2, rng);
-  std::vector<bool> start(20, false);
-  for (VertexId v = 0; v < 10; ++v) start[static_cast<std::size_t>(2 * v)] =
-      true;  // interleaved = bad start
-  const double start_cut = h.cut_weight(start);
-  const auto refined = ht::partition::fm_refine(h, start);
-  ht::partition::validate_bisection(h, refined);
-  EXPECT_LE(refined.cut, start_cut);
-}
-
-TEST(Fm, RecoversPlantedBisection) {
-  ht::Rng rng(13);
-  const Hypergraph h = ht::hypergraph::planted_bisection(12, 3, 60, 2, rng);
-  const auto sol = ht::partition::fm_bisection(h, rng, 8);
-  ht::partition::validate_bisection(h, sol);
-  EXPECT_LE(sol.cut, 2.0 + 1e-9);
-}
-
-TEST(Fm, MatchesExactOnSmallInstances) {
-  ht::Rng rng(17);
-  int optimal_hits = 0;
-  for (int trial = 0; trial < 6; ++trial) {
-    const Hypergraph h = ht::hypergraph::random_uniform(10, 16, 3, rng);
-    const auto exact = ht::partition::exact_hypergraph_bisection(h);
-    const auto fm = ht::partition::fm_bisection(h, rng, 12);
-    EXPECT_GE(fm.cut, exact.cut - 1e-9);
-    if (fm.cut <= exact.cut + 1e-9) ++optimal_hits;
-  }
-  EXPECT_GE(optimal_hits, 4) << "FM should usually find the optimum at n=10";
-}
-
-TEST(Fm, RejectsUnbalancedStart) {
-  Hypergraph h(4);
-  h.add_edge({0, 1});
-  h.finalize();
-  EXPECT_THROW(
-      ht::partition::fm_refine(h, {true, true, true, false}),
-      std::logic_error);
-}
-
-TEST(Fm, ValidatorCatchesCorruptedSolution) {
-  Hypergraph h(4);
-  h.add_edge({0, 1});
-  h.finalize();
-  ht::partition::BisectionSolution bad;
-  bad.valid = true;
-  bad.side = {true, true, false, false};
-  bad.cut = 12345.0;
-  EXPECT_THROW(ht::partition::validate_bisection(h, bad), std::logic_error);
-}
-
 // ---------- unbalanced k-cut ----------
 
 TEST(KCut, ExactSimple) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -423,19 +424,26 @@ TEST(TreeServer, SwapChangesAnswers) {
   std::remove(path2.c_str());
 }
 
-TEST(TreeServer, SwapWaitingForAPinnedQueryLeavesInfoFree) {
-  // A bisection on a 2,000-vertex instance (about 0.2 s in a
-  // RelWithDebInfo build on a 4-vCPU Xeon) pins epoch 1. The first swap
-  // takes the free slot; the second needs epoch 1's slot and waits for
-  // the bisection. That wait must not hold the mutex info(), state() and
-  // reclaim() take.
+/// A VCT-only snapshot of a 2,000-vertex instance, whose bisection() takes
+/// about 0.2 s in a RelWithDebInfo build on a 4-vCPU Xeon: long enough to
+/// keep a swap waiting.
+std::string write_slow_bisection_snapshot(const std::string& name) {
   ht::Rng rng(2026);
   const auto big = ht::hypergraph::random_uniform(2000, 4000, 3, rng);
   ht::snapshot::BuildOptions vct_only;
   vct_only.include_gomory_hu = false;
   vct_only.include_decomposition = false;
-  const std::string big_path = testing::TempDir() + "serve_pinned_big.htsnap";
-  ASSERT_TRUE(ht::snapshot::write(big, big_path, vct_only).ok());
+  const std::string path = testing::TempDir() + name;
+  EXPECT_TRUE(ht::snapshot::write(big, path, vct_only).ok());
+  return path;
+}
+
+TEST(TreeServer, SwapWaitingForAPinnedQueryLeavesInfoFree) {
+  // A bisection pins epoch 1. The first swap takes the free slot; the
+  // second needs epoch 1's slot and waits for the bisection. That wait
+  // must not hold the mutex info(), state() and reclaim() take.
+  const std::string big_path =
+      write_slow_bisection_snapshot("serve_pinned_big.htsnap");
   const std::string small_path =
       write_snapshot(make_instance(9), "serve_pinned_small.htsnap");
   auto server = ht::TreeServer::open(big_path);
@@ -461,6 +469,42 @@ TEST(TreeServer, SwapWaitingForAPinnedQueryLeavesInfoFree) {
       << "info() returned only after the pinned bisection finished";
   EXPECT_EQ(info.epoch, 2u);
   EXPECT_EQ(server->epoch(), 3u);
+  std::remove(big_path.c_str());
+  std::remove(small_path.c_str());
+}
+
+TEST(TreeServer, SwapWaitingForAPinnedQuerySleeps) {
+  // As above, a bisection pins epoch 1 and the second of two swaps waits
+  // for it. The waiting swap must sleep, not spin: its thread CPU time
+  // stays within a quarter of its wall (a yield loop reads about 100%).
+  const std::string big_path =
+      write_slow_bisection_snapshot("serve_sleeping_big.htsnap");
+  const std::string small_path =
+      write_snapshot(make_instance(9), "serve_sleeping_small.htsnap");
+  auto server = ht::TreeServer::open(big_path);
+  ASSERT_TRUE(server.ok()) << server.status().to_string();
+  const auto thread_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+
+  const std::uint64_t queries_before = server->info().queries;
+  std::thread query([&] { EXPECT_TRUE(server->bisection().ok()); });
+  while (server->info().queries == queries_before) std::this_thread::yield();
+  EXPECT_TRUE(server->swap(small_path).ok());
+  const auto wall_start = std::chrono::steady_clock::now();
+  const double cpu_start = thread_cpu_s();
+  EXPECT_TRUE(server->swap(small_path).ok());
+  const double cpu = thread_cpu_s() - cpu_start;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  query.join();
+  EXPECT_GE(wall, 0.05) << "the bisection no longer keeps the swap waiting";
+  EXPECT_LE(cpu, 0.25 * wall) << "the waiting swap used " << cpu
+                              << " s of CPU in " << wall << " s";
   std::remove(big_path.c_str());
   std::remove(small_path.c_str());
 }
