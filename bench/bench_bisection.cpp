@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/exact.hpp"
-#include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -145,11 +144,11 @@ void engine_counters() {
   bool identical = true;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
     ht::ThreadPool::reset_global(threads);
-    ht::PerfCounters::global().reset();
+    auto& metrics = ht::obs::MetricsRegistry::global();
+    metrics.reset_all();
     ht::Timer timer;
     const auto report = ht::core::bisect_theorem1(h);
     const double elapsed = timer.seconds();
-    auto& pc = ht::PerfCounters::global();
     std::string side(report.solution.side.size(), '0');
     for (std::size_t i = 0; i < side.size(); ++i)
       if (report.solution.side[i]) side[i] = '1';
@@ -159,13 +158,14 @@ void engine_counters() {
       identical = identical && side == first_side;
     table.add(static_cast<std::int64_t>(ht::ThreadPool::global().size()),
               elapsed, report.solution.cut,
-              static_cast<std::int64_t>(pc.pieces()),
-              static_cast<std::int64_t>(pc.max_flow_calls()));
+              static_cast<std::int64_t>(
+                  metrics.counter("engine.pieces").value()),
+              static_cast<std::int64_t>(
+                  metrics.counter("flow.max_flow_calls").value()));
   }
   ht::bench::print_table(table);
   std::cout << "identical bisection across thread counts: "
-            << (identical ? "yes" : "NO") << "\n"
-            << ht::PerfCounters::global().report();
+            << (identical ? "yes" : "NO") << "\n";
   std::cout << "metrics: " << ht::obs::MetricsRegistry::global().snapshot_json()
             << "\n";
   ht::ThreadPool::reset_global();

@@ -17,8 +17,8 @@
 #include "cuttree/vertex_cut_tree.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "reduction/star_expansion.hpp"
-#include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -156,14 +156,14 @@ void parallel_scaling_rows() {
   };
 
   ht::Table table({"threads", "build+quality (s)", "speedup", "quality(max)"});
-  ht::PerfCounters::global().reset();
+  ht::obs::MetricsRegistry::global().reset_all();
   ht::ThreadPool::reset_global(1);
   ht::Timer t1;
   const auto serial = run();
   const double serial_s = t1.seconds();
   table.add(1, serial_s, 1.0, serial.second);
 
-  ht::PerfCounters::global().reset();
+  ht::obs::MetricsRegistry::global().reset_all();
   ht::ThreadPool::reset_global();  // HT_THREADS env or hardware concurrency
   const auto threads = ht::ThreadPool::global().size();
   ht::Timer tn;
@@ -173,8 +173,9 @@ void parallel_scaling_rows() {
             serial_s / parallel_s, parallel.second);
   ht::bench::print_table(table);
   std::cout << "deterministic across thread counts: "
-            << (serial.first == parallel.first ? "yes" : "NO") << "\n"
-            << ht::PerfCounters::global().report();
+            << (serial.first == parallel.first ? "yes" : "NO") << "\n";
+  std::cout << "metrics: " << ht::obs::MetricsRegistry::global().snapshot_json()
+            << "\n";
 }
 
 }  // namespace

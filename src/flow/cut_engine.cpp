@@ -8,7 +8,6 @@
 #include "flow/flow_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
 #include "util/work_arena.hpp"
 
@@ -27,6 +26,14 @@ ht::obs::Histogram& solve_ns_histogram() {
   static ht::obs::Histogram& h =
       ht::obs::MetricsRegistry::global().histogram("flow.solve_ns");
   return h;
+}
+
+/// Max-flow invocations (min_edge_cut / min_vertex_cut /
+/// min_hyperedge_cut), complete or interrupted.
+ht::obs::Counter& max_flow_calls_counter() {
+  static ht::obs::Counter& c =
+      ht::obs::MetricsRegistry::global().counter("flow.max_flow_calls");
+  return c;
 }
 
 /// Records the end-to-end time of one min-cut query (solve + witness,
@@ -73,17 +80,9 @@ template <typename BuildFn>
 FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
                              std::optional<FlowNetwork>& fresh,
                              BuildFn&& build) {
-  // Apply the run's memory budget before parking another engine: evict
-  // least-recently-used cached engines until the cache fits.
-  if (RunState* run = current_run_state()) {
-    const std::size_t budget = run->context().memory_budget_bytes;
-    if (budget != 0) ht::WorkArena::local().enforce_budget(budget);
-  }
   if (flow_reuse_enabled() && uid != 0) {
-    FlowNetwork& net = ht::WorkArena::local().acquire<FlowNetwork>(
+    return ht::WorkArena::local().acquire<FlowNetwork>(
         kind, uid, static_cast<BuildFn&&>(build));
-    if (net.queries() > 0) PerfCounters::global().add_flow_reuse();
-    return net;
   }
   fresh.emplace(build());
   return *fresh;
@@ -105,7 +104,7 @@ EdgeCutResult CutEngine::min_edge_cut(
   ht::obs::TraceSpan span("flow.min_edge_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
-  PerfCounters::global().add_max_flow_call();
+  max_flow_calls_counter().add();
   SolveTimer timer;
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, g.num_vertices());
@@ -147,7 +146,7 @@ VertexCutResult CutEngine::min_vertex_cut(
   ht::obs::TraceSpan span("flow.min_vertex_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
-  PerfCounters::global().add_max_flow_call();
+  max_flow_calls_counter().add();
   SolveTimer timer;
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, g.num_vertices());
@@ -188,7 +187,7 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   ht::obs::TraceSpan span("flow.min_hyperedge_cut");
   span.arg("a", a.size());
   span.arg("b", b.size());
-  PerfCounters::global().add_max_flow_call();
+  max_flow_calls_counter().add();
   SolveTimer timer;
   PieceAllocator::Scope scope(WorkArena::local().pieces());
   check_disjoint_nonempty(scope, a, b, h.num_vertices());
@@ -211,9 +210,13 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
 
   HyperedgeCutResult out;
   out.complete = net.last_flow_complete();
+  const std::vector<char>& reach = net.source_side();
+  out.source_side.assign(static_cast<std::size_t>(n), false);
+  for (HyperVertexId v = 0; v < n; ++v)
+    out.source_side[static_cast<std::size_t>(v)] =
+        reach[static_cast<std::size_t>(v)] != 0;
   // Hyperedge e is cut iff e_in is reachable and e_out is not (for any
   // max flow, e_out is reachable exactly when all pins are).
-  const std::vector<char>& reach = net.source_side();
   for (ht::hypergraph::EdgeId e = 0; e < h.num_edges(); ++e) {
     if (reach[static_cast<std::size_t>(e_in(e))] &&
         !reach[static_cast<std::size_t>(e_out(e))]) {
@@ -295,22 +298,27 @@ namespace {
 /// out.tree over n vertices rooted at 0 and fills out.applied and
 /// out.status.
 ///
-/// Each vertex i in ascending order solves `solve(i, parent[i])` against
-/// the live parent and applies it with `apply(i, cut)`, the builder's own
-/// step: it records the cut as i's parent cut and re-hangs the vertices
-/// after i. The loop is serial on purpose. Inside a snapshot build the
-/// pool's workers are busy with the other two trees, so flows solved
-/// ahead of their apply against a stale parent would run on this task's
-/// own thread and sit on the build's critical path; serial, a complete
-/// build runs exactly n-1 flows at every pool size.
-template <typename Result, typename SolveFn, typename ApplyFn>
-void run_gusfield(std::int32_t n, Result& out, const SolveFn& solve,
-                  const ApplyFn& apply) {
+/// Each vertex i in ascending order solves `solve(i, j)` against its live
+/// parent j and applies the cut: it records the cut value as i's parent
+/// cut, re-hangs onto i every vertex k > i that hangs from j and lies on
+/// i's side, and splices i between j and j's parent when that parent lies
+/// on i's side. For hypergraphs the side is the vertex part of the Lawler
+/// network's smallest minimum cut, which is exactly the set of vertices
+/// still connected to i once the cut hyperedges are removed. The loop is
+/// serial on purpose. Inside a snapshot build the pool's workers are busy
+/// with the other two trees, so flows solved ahead of their apply against
+/// a stale parent would run on this task's own thread and sit on the
+/// build's critical path; serial, a complete build runs exactly n-1 flows
+/// at every pool size.
+template <typename Result, typename SolveFn>
+void run_gusfield(std::int32_t n, Result& out, const SolveFn& solve) {
   auto& parent = out.tree.parent;
+  auto& parent_cut = out.tree.parent_cut;
+  const auto at = [](std::int32_t v) { return static_cast<std::size_t>(v); };
   out.tree.root = 0;
-  parent.assign(static_cast<std::size_t>(n), 0);
+  parent.assign(at(n), 0);
   parent[0] = -1;
-  out.tree.parent_cut.assign(static_cast<std::size_t>(n), 0.0);
+  parent_cut.assign(at(n), 0.0);
   RunState* run = current_run_state();
   bool interrupted = false;
   for (std::int32_t i = 1; i < n; ++i) {
@@ -321,12 +329,25 @@ void run_gusfield(std::int32_t n, Result& out, const SolveFn& solve,
       interrupted = true;
       break;
     }
-    const auto cut = solve(i, parent[static_cast<std::size_t>(i)]);
+    const std::int32_t j = parent[at(i)];
+    const auto cut = solve(i, j);
     if (!cut.complete) {
       interrupted = true;
       break;
     }
-    apply(i, cut);
+    const std::vector<bool>& side = cut.source_side;
+    HT_CHECK(!side[at(j)]);
+    parent_cut[at(i)] = cut.value;
+    for (std::int32_t k = i + 1; k < n; ++k) {
+      if (parent[at(k)] == j && side[at(k)]) parent[at(k)] = i;
+    }
+    const std::int32_t pj = parent[at(j)];
+    if (pj != -1 && side[at(pj)]) {
+      parent[at(i)] = pj;
+      parent_cut[at(i)] = parent_cut[at(j)];
+      parent[at(j)] = i;
+      parent_cut[at(j)] = cut.value;
+    }
     ++out.applied;
     if (run != nullptr) run->note_piece();
   }
@@ -344,36 +365,9 @@ GomoryHuRunResult CutEngine::gomory_hu(const Graph& g) const {
   ht::obs::TraceSpan trace("gomory_hu");
   trace.arg("n", n);
   GomoryHuRunResult out;
-  GomoryHuTree& tree = out.tree;
-
-  // Gusfield apply step: record the cut, re-hang the vertices not yet
-  // applied (k > i) that fell on i's side, splice if j's parent did too.
-  const auto apply = [&](GraphVertexId i, const EdgeCutResult& cut) {
-    const GraphVertexId j = tree.parent[static_cast<std::size_t>(i)];
-    tree.parent_cut[static_cast<std::size_t>(i)] = cut.value;
-    for (GraphVertexId k = i + 1; k < n; ++k) {
-      if (tree.parent[static_cast<std::size_t>(k)] == j &&
-          cut.source_side[static_cast<std::size_t>(k)]) {
-        tree.parent[static_cast<std::size_t>(k)] = i;
-      }
-    }
-    // Classic Gusfield fix-up: if j's parent is on i's side, splice i
-    // between j and its parent.
-    const GraphVertexId pj = tree.parent[static_cast<std::size_t>(j)];
-    if (pj != -1 && cut.source_side[static_cast<std::size_t>(pj)]) {
-      tree.parent[static_cast<std::size_t>(i)] = pj;
-      tree.parent_cut[static_cast<std::size_t>(i)] =
-          tree.parent_cut[static_cast<std::size_t>(j)];
-      tree.parent[static_cast<std::size_t>(j)] = i;
-      tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
-    }
-  };
-  run_gusfield(
-      n, out,
-      [&](GraphVertexId i, GraphVertexId j) {
-        return min_edge_cut(g, {i}, {j});
-      },
-      apply);
+  run_gusfield(n, out, [&](GraphVertexId i, GraphVertexId j) {
+    return min_edge_cut(g, {i}, {j});
+  });
   trace.arg("applied", out.applied);
   return out;
 }
@@ -387,61 +381,9 @@ HypergraphGomoryHuRunResult CutEngine::gomory_hu(const Hypergraph& h) const {
   trace.arg("n", n);
   trace.arg("m", h.num_edges());
   HypergraphGomoryHuRunResult out;
-  HypergraphGomoryHuTree& tree = out.tree;
-
-  const auto m = static_cast<std::size_t>(h.num_edges());
-  const auto apply = [&](HyperVertexId i, const HyperedgeCutResult& cut) {
-    const HyperVertexId j = tree.parent[static_cast<std::size_t>(i)];
-    tree.parent_cut[static_cast<std::size_t>(i)] = cut.value;
-    // Source side of the canonical minimum cut: vertices still reachable
-    // from i after removing the cut hyperedges. The scratch is per-apply
-    // and pool-allocated — n-1 applies reuse the same chunk.
-    PieceAllocator::Scope scope(WorkArena::local().pieces());
-    auto removed = scope.alloc_zero<char>(m);
-    auto edge_done = scope.alloc_zero<char>(m);
-    auto reachable = scope.alloc_zero<char>(static_cast<std::size_t>(n));
-    auto stack = scope.alloc<HyperVertexId>(static_cast<std::size_t>(n));
-    std::int32_t top = 0;
-    for (auto e : cut.cut_edges) removed[static_cast<std::size_t>(e)] = 1;
-    stack[top++] = i;
-    reachable[static_cast<std::size_t>(i)] = 1;
-    while (top > 0) {
-      const HyperVertexId v = stack[--top];
-      for (auto e : h.incident_edges(v)) {
-        if (removed[static_cast<std::size_t>(e)] ||
-            edge_done[static_cast<std::size_t>(e)])
-          continue;
-        edge_done[static_cast<std::size_t>(e)] = 1;
-        for (auto u : h.pins(e)) {
-          if (!reachable[static_cast<std::size_t>(u)]) {
-            reachable[static_cast<std::size_t>(u)] = 1;
-            stack[top++] = u;
-          }
-        }
-      }
-    }
-    HT_CHECK(!reachable[static_cast<std::size_t>(j)]);
-    for (HyperVertexId k = i + 1; k < n; ++k) {
-      if (tree.parent[static_cast<std::size_t>(k)] == j &&
-          reachable[static_cast<std::size_t>(k)]) {
-        tree.parent[static_cast<std::size_t>(k)] = i;
-      }
-    }
-    const HyperVertexId pj = tree.parent[static_cast<std::size_t>(j)];
-    if (pj != -1 && reachable[static_cast<std::size_t>(pj)]) {
-      tree.parent[static_cast<std::size_t>(i)] = pj;
-      tree.parent_cut[static_cast<std::size_t>(i)] =
-          tree.parent_cut[static_cast<std::size_t>(j)];
-      tree.parent[static_cast<std::size_t>(j)] = i;
-      tree.parent_cut[static_cast<std::size_t>(j)] = cut.value;
-    }
-  };
-  run_gusfield(
-      n, out,
-      [&](HyperVertexId i, HyperVertexId j) {
-        return min_hyperedge_cut(h, {i}, {j});
-      },
-      apply);
+  run_gusfield(n, out, [&](HyperVertexId i, HyperVertexId j) {
+    return min_hyperedge_cut(h, {i}, {j});
+  });
   trace.arg("applied", out.applied);
   return out;
 }

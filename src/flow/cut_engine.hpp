@@ -48,6 +48,9 @@ struct VertexCutResult {
 struct HyperedgeCutResult {
   double value = 0.0;
   std::vector<ht::hypergraph::EdgeId> cut_edges;
+  /// Indicator over vertices; A-side. After a complete flow these are
+  /// exactly the vertices still connected to A once cut_edges are removed.
+  std::vector<bool> source_side;
   /// See EdgeCutResult::complete.
   bool complete = true;
 };

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
 
 namespace ht::flow {
@@ -27,6 +26,13 @@ ht::obs::Histogram& search_nodes_histogram() {
   static ht::obs::Histogram& h =
       ht::obs::MetricsRegistry::global().histogram("flow.search_nodes");
   return h;
+}
+
+/// Networks built from scratch (engine-cache misses and fresh builds).
+ht::obs::Counter& builds_counter() {
+  static ht::obs::Counter& c =
+      ht::obs::MetricsRegistry::global().counter("flow.builds");
+  return c;
 }
 
 }  // namespace
@@ -121,7 +127,7 @@ void FlowNetwork::freeze() {
   fwd_q_.assign(n, 0);
   back_q_.assign(n, 0);
   reach_.assign(n, 0);
-  PerfCounters::global().add_flow_build();
+  builds_counter().add();
 }
 
 FlowNetwork FlowNetwork::edge_cut_network(const ht::graph::Graph& g) {
@@ -195,7 +201,6 @@ void FlowNetwork::reset() {
     cap_[r] = base_cap_[r];
   }
   touched_.clear();
-  ++queries_;
 }
 
 void FlowNetwork::attach_source(std::int32_t slot) {

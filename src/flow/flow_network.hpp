@@ -113,8 +113,6 @@ class FlowNetwork {
   std::int64_t num_arcs() const {
     return static_cast<std::int64_t>(head_.size());
   }
-  /// Number of reset() calls served so far (0 = never queried).
-  std::uint64_t queries() const { return queries_; }
   /// Augmenting paths pushed by the most recent max_flow() call.
   /// Deterministic per query — reset() restores exact capacities, so the
   /// same (network, terminals) always walks the same paths.
@@ -196,7 +194,6 @@ class FlowNetwork {
   // arcs and the attach calls.
   std::vector<double> cap_;
   std::vector<std::int32_t> touched_;
-  std::uint64_t queries_ = 0;
   std::uint64_t last_augmenting_paths_ = 0;
   std::uint64_t last_search_nodes_ = 0;
   bool last_flow_complete_ = true;

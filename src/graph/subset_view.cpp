@@ -1,6 +1,6 @@
 #include "graph/subset_view.hpp"
 
-#include "util/perf_counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace ht::graph {
 
@@ -25,7 +25,9 @@ Weight SubsetView::total_vertex_weight() const {
 
 InducedSubgraph SubsetView::materialize() const {
   HT_DCHECK(remap_.live());
-  PerfCounters::global().add_materialization();
+  static ht::obs::Counter& materializations =
+      ht::obs::MetricsRegistry::global().counter("view.materializations");
+  materializations.add();
   InducedSubgraph out;
   out.graph.resize(size());
   out.old_of_new = vertices_;

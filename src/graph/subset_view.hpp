@@ -45,8 +45,8 @@ class SubsetView {
   Weight total_vertex_weight() const;
 
   /// Copies the view out as a finalized graph; output is identical to
-  /// induced_subgraph(parent(), vertices()). Counts one materialization in
-  /// PerfCounters.
+  /// induced_subgraph(parent(), vertices()). Counts one
+  /// "view.materializations".
   InducedSubgraph materialize() const;
 
  private:

@@ -147,11 +147,10 @@ class Solver {
   /// shards, builds per-shard Gomory–Hu subtrees with a bounded resident
   /// set, solves the boundary quotient exactly, and publishes a stitched
   /// .htsnap at `path` that TreeServer serves unchanged (cross-shard
-  /// answers are dominating; see scale/sharded_build.hpp). The context's
-  /// memory_budget_bytes backs options.memory_budget_bytes when that is
-  /// 0. Anytime: a stop mid-build still publishes a valid snapshot with
-  /// the unfinished shards as stars of leaves; the returned status is
-  /// the run's stop status.
+  /// answers are dominating; see scale/sharded_build.hpp). Anytime: a
+  /// stop mid-build still publishes a valid snapshot with the unfinished
+  /// shards as stars of leaves; the returned status is the run's stop
+  /// status.
   Status build_snapshot_sharded(const std::string& hmetis_path,
                                 const std::string& path,
                                 scale::ShardOptions options = {},

@@ -1,6 +1,6 @@
 #include "hypergraph/subset_view.hpp"
 
-#include "util/perf_counters.hpp"
+#include "obs/metrics.hpp"
 
 namespace ht::hypergraph {
 
@@ -26,7 +26,9 @@ Weight SubsetView::total_vertex_weight() const {
 
 InducedSubhypergraph SubsetView::materialize() const {
   HT_DCHECK(remap_.live());
-  PerfCounters::global().add_materialization();
+  static ht::obs::Counter& materializations =
+      ht::obs::MetricsRegistry::global().counter("view.materializations");
+  materializations.add();
   InducedSubhypergraph out;
   out.hypergraph.resize(size());
   out.old_of_new = vertices_;

@@ -37,7 +37,7 @@ class SubsetView {
   /// Copies the view out as a finalized hypergraph: pins restricted to the
   /// view, hyperedges with < 2 surviving pins dropped. Output is identical
   /// to induced_subhypergraph(parent(), vertices()). Counts one
-  /// materialization in PerfCounters.
+  /// "view.materializations".
   InducedSubhypergraph materialize() const;
 
  private:

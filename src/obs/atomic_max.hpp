@@ -1,9 +1,8 @@
 // Lock-free monotone maximum over an atomic value.
 //
-// The CAS-max loop used to be hand-rolled in two places in
-// util/perf_counters.cpp (queue depth, arena bytes); it now lives here so
-// the metrics registry's gauges and histograms share the single audited
-// implementation.
+// The metrics registry's gauges (Gauge::update_max, e.g. the pool's queue
+// depth and the arena's peak bytes) and histograms (the exact max) share
+// this single audited CAS-max loop.
 #pragma once
 
 #include <atomic>

@@ -15,9 +15,9 @@
 // 9 KiB per histogram.
 //
 // Naming scheme: dot-separated "<subsystem>.<quantity>", e.g.
-// "flow.builds", "pool.max_queue_depth", "arena.peak_bytes". PerfCounters
-// is a facade over this registry (see util/perf_counters.hpp); new
-// instrumentation should register metrics directly.
+// "flow.builds", "pool.max_queue_depth", "arena.peak_bytes". Each count
+// is registered once where its work happens, and readers (benches, tests,
+// the exporter) look it up by that name.
 #pragma once
 
 #include <atomic>
@@ -187,8 +187,8 @@ class MetricsRegistry {
   /// identical metric values.
   std::string snapshot_json() const;
 
-  /// Zeroes every registered metric (registration survives). Benches call
-  /// this between measured sections via PerfCounters::reset().
+  /// Zeroes every registered metric (registration survives). Benches and
+  /// tests call this between measured sections.
   void reset_all();
 
  private:

@@ -82,9 +82,7 @@ Status build_from_manifest(const ShardManifest& manifest,
   if (!manifest_status.ok()) return manifest_status;
 
   RunState* run = current_run_state();
-  std::size_t budget = options.memory_budget_bytes;
-  if (budget == 0 && run != nullptr)
-    budget = run->context().memory_budget_bytes;
+  const std::size_t budget = options.memory_budget_bytes;
 
   // The boundary file stays resident for the whole build (the quotient
   // and every shard's H_i^c need it), so it is charged against the
@@ -424,10 +422,6 @@ Status build_snapshot_sharded(const std::string& hmetis_path,
   ingest.temp_dir =
       options.temp_dir.empty() ? out_path + ".shards" : options.temp_dir;
   ingest.memory_budget_bytes = options.memory_budget_bytes;
-  if (ingest.memory_budget_bytes == 0) {
-    if (const RunState* run = current_run_state(); run != nullptr)
-      ingest.memory_budget_bytes = run->context().memory_budget_bytes;
-  }
   auto manifest = shard_hmetis_file(hmetis_path, ingest);
   if (!manifest.ok()) return manifest.status();
   Status built = build_from_manifest(*manifest, out_path, options, report);

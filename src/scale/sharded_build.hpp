@@ -43,7 +43,6 @@ struct ShardOptions {
   /// resident on top of this).
   std::int32_t resident = 2;
   /// Byte budget for resident shard mappings (boundary included). 0
-  /// falls back to the bound RunContext's memory_budget_bytes; both 0
   /// means the `resident` count is the only cap.
   std::size_t memory_budget_bytes = 0;
   /// Provenance seed stored in the snapshot meta block.

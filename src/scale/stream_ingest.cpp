@@ -111,14 +111,11 @@ StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
   if (ec)
     return Status::InvalidArgument("cannot create temp dir " +
                                    options.temp_dir + ": " + ec.message());
-  std::size_t flush_bytes = options.flush_bytes;
-  if (flush_bytes == 0) {
-    flush_bytes = options.memory_budget_bytes > 0
-                      ? std::max(kMinFlushBytes,
-                                 options.memory_budget_bytes /
-                                     (4 * static_cast<std::size_t>(k + 1)))
-                      : kDefaultFlushBytes;
-  }
+  const std::size_t flush_bytes =
+      options.memory_budget_bytes > 0
+          ? std::max(kMinFlushBytes, options.memory_budget_bytes /
+                                         (4 * static_cast<std::size_t>(k + 1)))
+          : kDefaultFlushBytes;
 
   std::vector<ShardWriter> writers;
   writers.reserve(static_cast<std::size_t>(k) + 1);

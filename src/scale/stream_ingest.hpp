@@ -6,7 +6,7 @@
 // inside one range go to that shard's .htshard spill file, edges that
 // straddle ranges go to the boundary pseudo-shard. The full hypergraph
 // is never materialized; peak memory is the per-shard segment buffers
-// (bounded by flush_bytes each) plus O(n) vertex weights.
+// (each bounded by the spill threshold) plus O(n) vertex weights.
 //
 // Vertex ranges are the contiguous blocks [k*n/K, (k+1)*n/K) — the same
 // deterministic split for every run, so identical inputs and options
@@ -27,11 +27,9 @@ struct IngestOptions {
   std::int32_t shards = 8;
   /// Directory for the K+1 spill files; created if missing.
   std::string temp_dir;
-  /// Per-shard buffered-CSR threshold that forces a segment spill. 0
-  /// derives a default from the memory budget (budget / (4 * (K + 1)),
-  /// floored at 64 KiB) or 1 MiB when no budget is set.
-  std::size_t flush_bytes = 0;
-  /// Byte budget the ingest derives flush thresholds from (0 = none).
+  /// Byte budget the ingest derives its per-shard spill threshold from:
+  /// budget / (4 * (K + 1)), floored at 64 KiB, or 1 MiB when 0 (no
+  /// budget).
   std::size_t memory_budget_bytes = 0;
 };
 

@@ -1,12 +1,11 @@
 // Bump/pool allocator for per-piece scratch memory.
 //
 // The decomposition engines allocate short-lived O(n) scratch on every
-// piece they process: min-cut terminal marks, Gomory–Hu side masks,
-// SubsetView remap staging. Allocating those with operator new puts a
-// malloc/free pair on every piece and scatters the piece's working set
-// across the heap; this allocator instead carves them out of a small set
-// of thread-local chunks so one piece's scratch is contiguous and is
-// released in O(1) by rewinding a mark.
+// piece they process, such as min-cut terminal marks. Allocating those
+// with operator new puts a malloc/free pair on every piece and scatters
+// the piece's working set across the heap; this allocator instead carves
+// them out of a small set of thread-local chunks so one piece's scratch
+// is contiguous and is released in O(1) by rewinding a mark.
 //
 // Usage is strictly scoped and LIFO:
 //

@@ -90,9 +90,6 @@ struct RunContext {
   /// builds its three trees concurrently, each under its own RunState for
   /// this context, so there the budget counts pieces per tree.
   std::uint64_t piece_budget = 0;
-  /// Soft cap on bytes parked in a thread's WorkArena object cache; the
-  /// cache is evicted before it would exceed this. 0 = unlimited.
-  std::size_t memory_budget_bytes = 0;
   /// Worker threads for the run; 0 = keep the current pool (whose default
   /// comes from env_default_threads()). Applied by ht::Solver.
   std::size_t threads = 0;

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <exception>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/perf_counters.hpp"
 #include "util/run_context.hpp"
 
 namespace ht {
@@ -36,6 +36,8 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
+  static obs::Gauge& max_queue_depth =
+      obs::MetricsRegistry::global().gauge("pool.max_queue_depth");
   // Run-context propagation: a task spawned under a RunScope must observe
   // the same RunState (deadline, cancel latch, piece counter) no matter
   // which worker steals it. Only pay the wrapper when a run is bound.
@@ -60,7 +62,7 @@ void ThreadPool::enqueue(std::function<void()> task) {
     std::unique_lock lock(mutex_);
     HT_CHECK(!stopping_);
     tasks_.push_back(std::move(task));
-    PerfCounters::global().note_queue_depth(tasks_.size());
+    max_queue_depth.update_max(static_cast<std::int64_t>(tasks_.size()));
   }
   task_available_.notify_one();
   progress_.notify_all();
@@ -80,13 +82,16 @@ bool ThreadPool::try_run_one() {
 }
 
 void ThreadPool::run_task(std::function<void()>& task) {
+  // Tasks executed by the pool (workers and stealing waiters).
+  static obs::Counter& tasks =
+      obs::MetricsRegistry::global().counter("pool.tasks");
   try {
     task();
   } catch (...) {
     std::unique_lock lock(mutex_);
     if (!pending_error_) pending_error_ = std::current_exception();
   }
-  PerfCounters::global().add_task();
+  tasks.add();
   {
     std::unique_lock lock(mutex_);
     --in_flight_;

@@ -18,8 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/run_context.hpp"
 #include "util/status.hpp"
@@ -77,6 +77,9 @@ template <typename Item, typename Result, typename Map, typename Fold,
           typename Drain>
 Status parallel_wavefront(std::vector<Item> roots, std::uint64_t seed,
                           Map&& map, Fold&& fold, Drain&& drain) {
+  // Work items (pieces, clusters, subproblems) mapped by the engines.
+  static obs::Counter& pieces =
+      obs::MetricsRegistry::global().counter("engine.pieces");
   RunState* run = current_run_state();
   std::vector<Item> wave = std::move(roots);
   std::vector<Item> next;
@@ -111,7 +114,7 @@ Status parallel_wavefront(std::vector<Item> roots, std::uint64_t seed,
       Rng rng = derive_stream(seed, base + i);
       results[i] = map(static_cast<const Item&>(wave[i]), rng);
     });
-    PerfCounters::global().add_pieces(count);
+    pieces.add(count);
     next.clear();
     next_parents.clear();
     std::size_t folded = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "obs/metrics.hpp"
+
 namespace ht {
 
 std::uint64_t next_structure_uid() {
@@ -36,9 +38,22 @@ WorkArena::Remap WorkArena::begin_remap(std::int32_t universe) {
 
 void WorkArena::clear_cache() { cache_.clear(); }
 
-void WorkArena::enforce_budget(std::size_t budget_bytes) {
-  if (budget_bytes == 0) return;
-  while (!cache_.empty() && cached_bytes() > budget_bytes) evict_oldest();
+WorkArena::HolderBase* WorkArena::find(std::uint32_t kind,
+                                       std::uint64_t uid) {
+  static obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("arena.hits");
+  static obs::Counter& misses =
+      obs::MetricsRegistry::global().counter("arena.misses");
+  HT_CHECK(uid != 0);
+  for (auto& entry : cache_) {
+    if (entry.kind == kind && entry.uid == uid) {
+      entry.last_use = ++use_clock_;
+      hits.add();
+      return entry.object.get();
+    }
+  }
+  misses.add();
+  return nullptr;
 }
 
 std::size_t WorkArena::cached_bytes() const {
@@ -56,10 +71,12 @@ void WorkArena::evict_oldest() {
 }
 
 void WorkArena::note_bytes() {
-  PerfCounters::global().note_arena_bytes(
-      cached_bytes() +
-      remap_stamp_.size() * sizeof(std::uint32_t) +
-      remap_value_.size() * sizeof(std::int32_t));
+  // The largest footprint (cache plus remap buffers) seen on one thread.
+  static obs::Gauge& peak =
+      obs::MetricsRegistry::global().gauge("arena.peak_bytes");
+  peak.update_max(static_cast<std::int64_t>(
+      cached_bytes() + remap_stamp_.size() * sizeof(std::uint32_t) +
+      remap_value_.size() * sizeof(std::int32_t)));
 }
 
 }  // namespace ht

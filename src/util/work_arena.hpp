@@ -10,9 +10,10 @@
 //
 //  * A keyed object cache: flow engines (FlowNetwork) are expensive to
 //    build and cheap to reset. acquire<T>() returns a cached instance for a
-//    (kind, structure-uid) key, building it only on a miss. Hits/misses and
-//    the peak number of bytes parked in arenas are reported through
-//    PerfCounters, which is how the benches measure the reuse rate.
+//    (kind, structure-uid) key, building it only on a miss. Hits, misses
+//    and the peak bytes parked in one arena are the registry metrics
+//    "arena.hits", "arena.misses" and "arena.peak_bytes", which is how the
+//    benches measure the reuse rate.
 //
 // The arena is strictly thread-local (WorkArena::local()); no
 // synchronization, and cached objects are never shared across threads.
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
 
 namespace ht {
@@ -80,15 +80,8 @@ class WorkArena {
   /// "uncacheable" and must not be passed here.
   template <typename T, typename Build>
   T& acquire(std::uint32_t kind, std::uint64_t uid, Build&& build) {
-    HT_CHECK(uid != 0);
-    for (auto& entry : cache_) {
-      if (entry.kind == kind && entry.uid == uid) {
-        entry.last_use = ++use_clock_;
-        PerfCounters::global().add_arena_hit();
-        return static_cast<Holder<T>*>(entry.object.get())->value;
-      }
-    }
-    PerfCounters::global().add_arena_miss();
+    if (HolderBase* hit = find(kind, uid))
+      return static_cast<Holder<T>*>(hit)->value;
     if (cache_.size() >= kCacheCapacity) evict_oldest();
     auto owned = std::make_unique<Holder<T>>(build());
     T& ref = owned->value;
@@ -102,20 +95,11 @@ class WorkArena {
   /// and warm runs). Remap buffers are kept.
   void clear_cache();
 
-  /// Evicts least-recently-used entries until the cache fits in
-  /// `budget_bytes` (0 = unlimited, no-op). The RunContext memory budget
-  /// is applied here by the flow layer before each engine acquire.
-  void enforce_budget(std::size_t budget_bytes);
-
-  /// Bytes currently parked in this arena's object cache.
-  std::size_t cached_bytes() const;
-
   // --- per-piece scratch pool ----------------------------------------------
 
   /// The thread's bump/pool allocator for per-piece scratch (min-cut
-  /// terminal marks, Gomory–Hu side masks). Open a
-  /// PieceAllocator::Scope on it around each piece; see
-  /// util/piece_allocator.hpp for the LIFO discipline.
+  /// terminal marks). Open a PieceAllocator::Scope on it around each
+  /// piece; see util/piece_allocator.hpp for the LIFO discipline.
   PieceAllocator& pieces() { return pieces_; }
 
   static constexpr std::size_t kCacheCapacity = 4;
@@ -137,7 +121,12 @@ class WorkArena {
     std::unique_ptr<HolderBase> object;
   };
 
+  /// The cached object for (kind, uid), marked most recently used, or
+  /// nullptr; counts the lookup as an arena hit or miss.
+  HolderBase* find(std::uint32_t kind, std::uint64_t uid);
   void evict_oldest();
+  /// Bytes currently parked in this arena's object cache.
+  std::size_t cached_bytes() const;
   void note_bytes();
 
   std::vector<std::uint32_t> remap_stamp_;

@@ -9,7 +9,6 @@
 #include "cuttree/vertex_cut_tree.hpp"
 #include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "hypergraph/generators.hpp"
 #include "hypergraph/io.hpp"
 #include "partition/exact.hpp"
@@ -127,43 +126,6 @@ TEST(EdgeCases, StarExpansionOfEmptyHypergraph) {
 }
 
 // ---------- IO robustness ----------
-
-TEST(EdgeCases, GraphMetisRoundTrip) {
-  ht::Rng rng(1);
-  Graph g = ht::graph::gnp_connected(10, 0.4, rng);
-  g.set_vertex_weight(3, 2.5);
-  std::stringstream ss;
-  ht::graph::write_metis(g, ss);
-  const Graph r = ht::graph::read_metis(ss);
-  ASSERT_EQ(r.num_vertices(), g.num_vertices());
-  ASSERT_EQ(r.num_edges(), g.num_edges());
-  EXPECT_DOUBLE_EQ(r.vertex_weight(3), 2.5);
-  // Cut values agree on a sample bipartition.
-  std::vector<bool> side(10, false);
-  for (int v = 0; v < 5; ++v) side[static_cast<std::size_t>(v)] = true;
-  EXPECT_DOUBLE_EQ(r.cut_weight(side), g.cut_weight(side));
-}
-
-TEST(EdgeCases, GraphMetisWeightedEdgesRoundTrip) {
-  Graph g(3);
-  g.add_edge(0, 1, 2.5);
-  g.add_edge(1, 2, 4.0);
-  g.finalize();
-  std::stringstream ss;
-  ht::graph::write_metis(g, ss);
-  const Graph r = ht::graph::read_metis(ss);
-  EXPECT_DOUBLE_EQ(ht::CutEngine().min_edge_cut(r, {0}, {2}).value, 2.5);
-}
-
-TEST(EdgeCases, MetisRejectsBadNeighbors) {
-  std::stringstream ss("2 1\n5\n1\n");  // neighbor 5 out of range
-  EXPECT_THROW(ht::graph::read_metis(ss), std::logic_error);
-}
-
-TEST(EdgeCases, MetisRejectsCountMismatch) {
-  std::stringstream ss("3 5\n2\n1 3\n2\n");  // header claims 5 edges
-  EXPECT_THROW(ht::graph::read_metis(ss), std::logic_error);
-}
 
 TEST(EdgeCases, HmetisRejectsTruncatedInput) {
   std::stringstream ss("3 4\n1 2\n");  // promises 3 edges, has 1

@@ -262,6 +262,64 @@ TEST(MinHyperedgeCut, SeparatesPredicate) {
   EXPECT_FALSE(ht::flow::hyperedge_cut_separates(h, {}, {0}, {3}));
 }
 
+/// Vertices connected to `a` over the hyperedges not in `cut`, by a search
+/// over pins: the oracle for min_hyperedge_cut's source side, which the
+/// hypergraph Gomory–Hu builder applies.
+std::vector<bool> component_without(
+    const Hypergraph& h, const std::vector<ht::hypergraph::EdgeId>& cut,
+    const std::vector<VertexId>& a) {
+  std::vector<bool> removed(static_cast<std::size_t>(h.num_edges()), false);
+  for (auto e : cut) removed[static_cast<std::size_t>(e)] = true;
+  std::vector<bool> reached(static_cast<std::size_t>(h.num_vertices()), false);
+  std::vector<VertexId> stack;
+  for (VertexId v : a) {
+    reached[static_cast<std::size_t>(v)] = true;
+    stack.push_back(v);
+  }
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    for (auto e : h.incident_edges(v)) {
+      if (removed[static_cast<std::size_t>(e)]) continue;
+      removed[static_cast<std::size_t>(e)] = true;  // expand each edge once
+      for (VertexId u : h.pins(e)) {
+        if (!reached[static_cast<std::size_t>(u)]) {
+          reached[static_cast<std::size_t>(u)] = true;
+          stack.push_back(u);
+        }
+      }
+    }
+  }
+  return reached;
+}
+
+TEST(MinHyperedgeCut, SourceSideIsTheComponentOfAWithoutTheCut) {
+  ht::Rng rng(2607);
+  for (int round = 0; round < 40; ++round) {
+    const auto n = static_cast<VertexId>(6 + rng.next_below(35));
+    Hypergraph h(n);
+    for (VertexId e = 0; e < 2 * n; ++e) {
+      const auto size = static_cast<VertexId>(2 + rng.next_below(4));
+      // Weights 0, 0.3, ..., 3.6: zero-weight and non-dyadic edges too.
+      h.add_edge(rng.sample_without_replacement(n, size),
+                 0.3 * static_cast<double>(rng.next_below(13)));
+    }
+    h.finalize();
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto terminals = static_cast<VertexId>(2 + rng.next_below(5));
+      auto pick = rng.sample_without_replacement(n, terminals);
+      const auto split = static_cast<std::ptrdiff_t>(1 + rng.next_below(
+                             static_cast<std::uint64_t>(terminals - 1)));
+      const std::vector<VertexId> a(pick.begin(), pick.begin() + split);
+      const std::vector<VertexId> b(pick.begin() + split, pick.end());
+      const auto cut = ht::CutEngine().min_hyperedge_cut(h, a, b);
+      ASSERT_TRUE(cut.complete);
+      EXPECT_EQ(cut.source_side, component_without(h, cut.cut_edges, a))
+          << "round " << round << " trial " << trial;
+    }
+  }
+}
+
 TEST(MinHyperedgeCut, Figure2CutValues) {
   const auto fig = ht::hypergraph::figure2(9);
   // gamma between two u's: the heavy hyperedge and... between u_0 and u_1:

@@ -31,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "reduction/clique_expansion.hpp"
 #include "reduction/star_expansion.hpp"
-#include "util/perf_counters.hpp"
 #include "util/piece_allocator.hpp"
 #include "util/rng.hpp"
 #include "util/run_context.hpp"
@@ -260,18 +259,18 @@ TEST(FlowEngine, ReuseCountersShowReuse) {
   ht::ThreadPool::reset_global(1);
   ht::Rng rng(55);
   const auto g = ht::graph::gnp_connected(48, 6.0 / 48, rng);
-  auto& counters = ht::PerfCounters::global();
-  counters.reset();
+  auto& metrics = ht::obs::MetricsRegistry::global();
+  metrics.reset_all();
   const auto tree = ht::CutEngine().gomory_hu(g).tree;
   ht::ThreadPool::reset_global();
   EXPECT_EQ(tree.parent.size(), 48u);
   // Gusfield issues n-1 flows on the same graph: a handful of engine
   // builds (one per participating thread), everything else reuse.
-  EXPECT_GT(counters.max_flow_calls(), 0u);
-  EXPECT_GT(counters.flow_reuses(), 0u);
-  EXPECT_GT(counters.arena_hits(), 0u);
-  EXPECT_LT(counters.flow_builds(), counters.max_flow_calls());
-  EXPECT_GT(counters.peak_arena_bytes(), 0u);
+  const std::uint64_t flows = metrics.counter("flow.max_flow_calls").value();
+  EXPECT_GT(flows, 0u);
+  EXPECT_GT(metrics.counter("arena.hits").value(), 0u);
+  EXPECT_LT(metrics.counter("flow.builds").value(), flows);
+  EXPECT_GT(metrics.gauge("arena.peak_bytes").value(), 0);
 }
 
 // The reference solver's terminal arcs below carry the arena's infinity;
@@ -674,11 +673,11 @@ void PrintTo(const FlowWork& w, std::ostream* os) {
 template <typename Fn>
 FlowWork count_flow_work(Fn&& workload) {
   ht::WorkArena::local().clear_cache();
-  auto& counters = ht::PerfCounters::global();
-  counters.reset();  // the whole registry, the flow.* histograms included
-  workload();
   auto& metrics = ht::obs::MetricsRegistry::global();
-  return {counters.max_flow_calls(), counters.flow_builds(),
+  metrics.reset_all();
+  workload();
+  return {metrics.counter("flow.max_flow_calls").value(),
+          metrics.counter("flow.builds").value(),
           metrics.histogram("flow.augmenting_paths").sum(),
           metrics.histogram("flow.search_nodes").sum()};
 }

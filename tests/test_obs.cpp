@@ -22,7 +22,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/perf_counters.hpp"
 #include "util/thread_pool.hpp"
 #include "util/wavefront.hpp"
 
@@ -449,21 +448,26 @@ TEST(Flight, ThreadsOnDistinctStripesAppendToTheirOwnRings) {
   }
 }
 
-TEST(Metrics, PerfCountersAreRegistryBacked) {
-  auto& pc = ht::PerfCounters::global();
+TEST(Metrics, ResetAllZeroesEveryMetricKind) {
   auto& reg = ht::obs::MetricsRegistry::global();
-  pc.reset();
-  pc.add_flow_build();
-  pc.add_flow_build();
-  pc.add_pieces(3);
-  pc.note_queue_depth(17);
-  pc.note_queue_depth(4);
-  EXPECT_EQ(reg.counter("flow.builds").value(), pc.flow_builds());
-  EXPECT_EQ(reg.counter("engine.pieces").value(), 3u);
-  EXPECT_EQ(reg.gauge("pool.max_queue_depth").value(), 17);
-  pc.reset();  // resets the whole registry
-  EXPECT_EQ(reg.counter("flow.builds").value(), 0u);
-  EXPECT_EQ(pc.max_queue_depth(), 0u);
+  auto& counter = reg.counter("test.reset_all.counter");
+  auto& gauge = reg.gauge("test.reset_all.gauge");
+  auto& histogram = reg.histogram("test.reset_all.histogram");
+  counter.add(3);
+  gauge.update_max(17);
+  gauge.update_max(4);
+  histogram.record(9);
+  EXPECT_EQ(counter.value(), 3u);
+  EXPECT_EQ(gauge.value(), 17);
+  EXPECT_EQ(histogram.count(), 1u);
+  reg.reset_all();
+  // Registration survives: the same names return the same, zeroed objects.
+  EXPECT_EQ(&reg.counter("test.reset_all.counter"), &counter);
+  EXPECT_EQ(counter.value(), 0u);
+  EXPECT_EQ(gauge.value(), 0);
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.sum(), 0u);
+  EXPECT_EQ(histogram.max(), 0u);
 }
 
 // ----------------------------------------------------------------- tracer

@@ -25,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/snapshot_build.hpp"
+#include "serve/snapshot_writer.hpp"
 #include "serve/tree_server.hpp"
 #include "util/mmap_file.hpp"
 #include "util/rng.hpp"
@@ -426,15 +427,21 @@ TEST(TreeServer, SwapChangesAnswers) {
 
 /// A VCT-only snapshot of a 2,000-vertex instance, whose bisection() takes
 /// about 0.2 s in a RelWithDebInfo build on a 4-vCPU Xeon: long enough to
-/// keep a swap waiting.
+/// keep a swap waiting. The bytes are built once per process; each call
+/// writes them to its own file.
 std::string write_slow_bisection_snapshot(const std::string& name) {
-  ht::Rng rng(2026);
-  const auto big = ht::hypergraph::random_uniform(2000, 4000, 3, rng);
-  ht::snapshot::BuildOptions vct_only;
-  vct_only.include_gomory_hu = false;
-  vct_only.include_decomposition = false;
+  static const std::string bytes = [] {
+    ht::Rng rng(2026);
+    const auto big = ht::hypergraph::random_uniform(2000, 4000, 3, rng);
+    ht::snapshot::BuildOptions vct_only;
+    vct_only.include_gomory_hu = false;
+    vct_only.include_decomposition = false;
+    auto built = ht::snapshot::build(big, vct_only);
+    EXPECT_TRUE(built.ok()) << built.status().to_string();
+    return built.ok() ? *built : std::string();
+  }();
   const std::string path = testing::TempDir() + name;
-  EXPECT_TRUE(ht::snapshot::write(big, path, vct_only).ok());
+  EXPECT_TRUE(ht::snapshot::write_bytes_atomic(path, bytes).ok());
   return path;
 }
 

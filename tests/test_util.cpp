@@ -11,7 +11,6 @@
 #include <string>
 
 #include "util/check.hpp"
-#include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/run_context.hpp"
 #include "util/stats.hpp"
@@ -390,23 +389,6 @@ TEST(Wavefront, RngStreamsDependOnGlobalIndexOnly) {
   const auto parallel = run();
   ht::ThreadPool::reset_global();
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(PerfCounters, AccumulatesAndResets) {
-  auto& pc = ht::PerfCounters::global();
-  pc.reset();
-  pc.add_pieces(3);
-  pc.add_max_flow_call();
-  pc.note_queue_depth(7);
-  pc.note_queue_depth(2);
-  EXPECT_EQ(pc.pieces(), 3u);
-  EXPECT_EQ(pc.max_flow_calls(), 1u);
-  EXPECT_GE(pc.max_queue_depth(), 7u);
-  const std::string report = pc.report();
-  EXPECT_NE(report.find("pieces=3"), std::string::npos);
-  pc.reset();
-  EXPECT_EQ(pc.pieces(), 0u);
-  EXPECT_EQ(pc.max_flow_calls(), 0u);
 }
 
 }  // namespace
