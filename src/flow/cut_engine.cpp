@@ -56,23 +56,6 @@ class SolveTimer {
 
 // --- shared helpers --------------------------------------------------------
 
-template <typename VertexT>
-void check_disjoint_nonempty(PieceAllocator::Scope& scope,
-                             const std::vector<VertexT>& a,
-                             const std::vector<VertexT>& b, VertexT n) {
-  HT_CHECK(!a.empty() && !b.empty());
-  auto mark = scope.alloc_zero<char>(static_cast<std::size_t>(n));
-  for (VertexT v : a) {
-    HT_CHECK(0 <= v && v < n);
-    mark[static_cast<std::size_t>(v)] = 1;
-  }
-  for (VertexT v : b) {
-    HT_CHECK(0 <= v && v < n);
-    HT_CHECK_MSG(mark[static_cast<std::size_t>(v)] == 0,
-                 "A and B intersect at vertex " << v);
-  }
-}
-
 /// The cached engine for (kind, uid), or a freshly built one parked in
 /// `fresh` when reuse is off / uid is 0. The returned reference must not be
 /// held across a thread-pool wait (see WorkArena).
@@ -106,8 +89,7 @@ EdgeCutResult CutEngine::min_edge_cut(
   span.arg("b", b.size());
   max_flow_calls_counter().add();
   SolveTimer timer;
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  check_disjoint_nonempty(scope, a, b, g.num_vertices());
+  HT_CHECK(!a.empty() && !b.empty());
   const NodeId n = g.num_vertices();
   std::optional<FlowNetwork> fresh;
   FlowNetwork& net =
@@ -148,8 +130,7 @@ VertexCutResult CutEngine::min_vertex_cut(
   span.arg("b", b.size());
   max_flow_calls_counter().add();
   SolveTimer timer;
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  check_disjoint_nonempty(scope, a, b, g.num_vertices());
+  HT_CHECK(!a.empty() && !b.empty());
   const GraphVertexId n = g.num_vertices();
   // Node splitting: v_in = 2v, v_out = 2v+1 (see vertex_cut_network).
   auto v_in = [](GraphVertexId v) { return static_cast<NodeId>(2 * v); };
@@ -189,8 +170,7 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   span.arg("b", b.size());
   max_flow_calls_counter().add();
   SolveTimer timer;
-  PieceAllocator::Scope scope(WorkArena::local().pieces());
-  check_disjoint_nonempty(scope, a, b, h.num_vertices());
+  HT_CHECK(!a.empty() && !b.empty());
   const auto n = h.num_vertices();
   // Lawler expansion node ids (see hyperedge_cut_network).
   auto e_in = [n](ht::hypergraph::EdgeId e) {

@@ -214,6 +214,9 @@ void FlowNetwork::attach_source(std::int32_t slot) {
 void FlowNetwork::attach_sink(std::int32_t slot) {
   HT_CHECK(0 <= slot &&
            slot < static_cast<std::int32_t>(sink_arc_of_.size()));
+  const std::int32_t s = source_arc_of_[static_cast<std::size_t>(slot)];
+  HT_CHECK_MSG(cap_[static_cast<std::size_t>(s)] != kInfiniteCapacity,
+               "A and B intersect at vertex " << slot);
   const std::int32_t a = sink_arc_of_[static_cast<std::size_t>(slot)];
   cap_[static_cast<std::size_t>(a)] = kInfiniteCapacity;
   touched_.push_back(a);

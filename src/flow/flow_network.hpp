@@ -139,6 +139,7 @@ class FlowNetwork {
   /// `slot` is the original vertex id the builder registered.
   void attach_source(std::int32_t slot);
   /// Activates the preallocated slot -> t arc at infinite capacity.
+  /// Refuses (HT_CHECK) a slot already attached as a source.
   void attach_sink(std::int32_t slot);
 
   /// Dinic max flow s -> t over the current capacities, in place.

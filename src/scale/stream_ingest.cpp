@@ -1,10 +1,9 @@
 #include "scale/stream_ingest.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
+#include "hypergraph/io.hpp"
 #include "obs/trace.hpp"
 #include "scale/shard_io.hpp"
 #include "util/mmap_file.hpp"
@@ -16,56 +15,6 @@ namespace {
 constexpr std::size_t kDefaultFlushBytes = std::size_t{1} << 20;  // 1 MiB
 constexpr std::size_t kMinFlushBytes = std::size_t{64} << 10;     // 64 KiB
 
-Status parse_error(std::int64_t line_no, const std::string& what) {
-  return Status::InvalidArgument("hMetis line " + std::to_string(line_no) +
-                                 ": " + what);
-}
-
-/// Pulls the next non-comment, non-blank line out of [cursor, end) into
-/// `line` (null-terminated so strtod/strtoll can walk it). Returns false
-/// at EOF.
-bool next_content_line(const char*& cursor, const char* end,
-                       std::string& line, std::int64_t& line_no) {
-  while (cursor < end) {
-    const char* eol = static_cast<const char*>(
-        std::memchr(cursor, '\n', static_cast<std::size_t>(end - cursor)));
-    const char* stop = eol != nullptr ? eol : end;
-    const char* begin = cursor;
-    cursor = eol != nullptr ? eol + 1 : end;
-    ++line_no;
-    while (begin < stop && (*begin == ' ' || *begin == '\t' ||
-                            *begin == '\r'))
-      ++begin;
-    if (begin == stop || *begin == '%') continue;
-    line.assign(begin, stop);
-    return true;
-  }
-  return false;
-}
-
-bool parse_i64(const char*& p, std::int64_t& out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(p, &end, 10);
-  if (end == p) return false;
-  p = end;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const char*& p, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(p, &end);
-  if (end == p) return false;
-  p = end;
-  out = v;
-  return true;
-}
-
-bool at_line_end(const char* p) {
-  while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
-  return *p == '\0';
-}
-
 }  // namespace
 
 StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
@@ -73,27 +22,11 @@ StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
   obs::TraceSpan span("scale.ingest");
   auto map = MappedFile::Open(path);
   if (!map.ok()) return map.status();
-  const char* cursor = reinterpret_cast<const char*>(map->data());
-  const char* const end = cursor + map->size();
-
-  std::string line;
-  std::int64_t line_no = 0;
-  if (!next_content_line(cursor, end, line, line_no))
-    return Status::InvalidArgument("hMetis input is empty");
-  const char* p = line.c_str();
-  std::int64_t m = 0, n = 0, fmt = 0;
-  if (!parse_i64(p, m) || !parse_i64(p, n))
-    return parse_error(line_no, "bad header \"" + line + "\"");
-  if (!at_line_end(p) && !parse_i64(p, fmt))
-    return parse_error(line_no, "bad header \"" + line + "\"");
-  if (!at_line_end(p))
-    return parse_error(line_no, "trailing junk in header");
-  if (m < 0 || n < 0)
-    return parse_error(line_no, "negative m or n");
-  if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11)
-    return parse_error(line_no, "bad fmt field " + std::to_string(fmt));
-  const bool ew = (fmt % 10) == 1;
-  const bool vw = fmt >= 10;
+  auto reader = hypergraph::HmetisReader::Open(
+      {reinterpret_cast<const char*>(map->data()), map->size()});
+  if (!reader.ok()) return reader.status();
+  const std::int64_t m = reader->num_edges();
+  const std::int64_t n = reader->num_vertices();
   if (n < 1)
     return Status::InvalidArgument("sharded ingest needs >= 1 vertex");
 
@@ -143,31 +76,11 @@ StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
     return s;
   };
 
+  double w = 1.0;
   std::vector<std::int32_t> pins;
   for (std::int64_t e = 0; e < m; ++e) {
-    if (!next_content_line(cursor, end, line, line_no))
-      return Status::InvalidArgument(
-          "unexpected EOF: expected " + std::to_string(m) +
-          " hyperedge lines, got " + std::to_string(e));
-    p = line.c_str();
-    double w = 1.0;
-    if (ew && !parse_f64(p, w))
-      return parse_error(line_no, "missing edge weight");
-    pins.clear();
-    std::int64_t pin;
-    while (parse_i64(p, pin)) {
-      if (pin < 1 || pin > n)
-        return parse_error(line_no,
-                           "pin out of range: " + std::to_string(pin));
-      pins.push_back(static_cast<std::int32_t>(pin - 1));
-    }
-    if (!at_line_end(p))
-      return parse_error(line_no, "non-numeric pin in \"" + line + "\"");
-    std::sort(pins.begin(), pins.end());
-    pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-    if (pins.size() < 2)
-      return parse_error(line_no, "hyperedge needs >= 2 distinct pins");
-
+    Status read = reader->next_edge(w, pins);
+    if (!read.ok()) return read;
     const std::int64_t first = shard_of(pins.front());
     const bool interior = shard_of(pins.back()) == first;
     ShardWriter& sink =
@@ -183,21 +96,10 @@ StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
     manifest.total_edge_weight += w;
   }
 
-  std::vector<double> vertex_weights(static_cast<std::size_t>(n), 1.0);
-  if (vw) {
-    for (std::int64_t v = 0; v < n; ++v) {
-      if (!next_content_line(cursor, end, line, line_no))
-        return Status::InvalidArgument(
-            "unexpected EOF: expected " + std::to_string(n) +
-            " vertex weight lines, got " + std::to_string(v));
-      p = line.c_str();
-      double w = 1.0;
-      if (!parse_f64(p, w) || !at_line_end(p))
-        return parse_error(line_no, "missing vertex weight");
-      vertex_weights[static_cast<std::size_t>(v)] = w;
-    }
-  }
-  for (double w : vertex_weights) manifest.total_vertex_weight += w;
+  std::vector<double> vertex_weights;
+  Status read = reader->read_vertex_weights(vertex_weights);
+  if (!read.ok()) return read;
+  for (double vw : vertex_weights) manifest.total_vertex_weight += vw;
 
   for (std::int64_t i = 0; i < k; ++i) {
     auto& writer = writers[static_cast<std::size_t>(i)];

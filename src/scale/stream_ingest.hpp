@@ -1,7 +1,7 @@
 // Single-pass streaming hMetis ingest into K vertex-range shards.
 //
-// shard_hmetis_file() maps the input once (sequential scan, manual
-// number parsing — no istream round trips) and classifies every
+// shard_hmetis_file() maps the input once, parses it with
+// hypergraph::HmetisReader in one sequential scan, and classifies every
 // hyperedge by the set of vertex ranges its pins touch: edges fully
 // inside one range go to that shard's .htshard spill file, edges that
 // straddle ranges go to the boundary pseudo-shard. The full hypergraph
@@ -52,11 +52,9 @@ struct ShardManifest {
   std::uint64_t spill_bytes = 0;
 };
 
-/// Streams `path` into shard spill files under options.temp_dir.
-/// kInvalidArgument on malformed input (same dialect as
-/// hypergraph::try_read_hmetis: `m n [fmt]` header with fmt in
-/// {0,1,10,11}, % comments, 1-indexed pins; edges additionally need >= 2
-/// distinct pins, which add_edge would otherwise reject at build time).
+/// Streams `path` into shard spill files under options.temp_dir. Refuses
+/// malformed input with HmetisReader's kInvalidArgument (the same status
+/// hypergraph::try_read_hmetis_file returns), and n = 0 with its own.
 StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
                                           const IngestOptions& options);
 

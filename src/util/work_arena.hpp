@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/piece_allocator.hpp"
 
 namespace ht {
 
@@ -95,13 +94,6 @@ class WorkArena {
   /// and warm runs). Remap buffers are kept.
   void clear_cache();
 
-  // --- per-piece scratch pool ----------------------------------------------
-
-  /// The thread's bump/pool allocator for per-piece scratch (min-cut
-  /// terminal marks). Open a PieceAllocator::Scope on it around each
-  /// piece; see util/piece_allocator.hpp for the LIFO discipline.
-  PieceAllocator& pieces() { return pieces_; }
-
   static constexpr std::size_t kCacheCapacity = 4;
 
  private:
@@ -134,7 +126,6 @@ class WorkArena {
   std::uint32_t epoch_ = 0;
   std::vector<Entry> cache_;
   std::uint64_t use_clock_ = 0;
-  PieceAllocator pieces_;
 };
 
 }  // namespace ht

@@ -3,7 +3,6 @@
 // corner cases, empty hypergraphs, adversarial parameter values.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "core/bisection.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
@@ -128,13 +127,12 @@ TEST(EdgeCases, StarExpansionOfEmptyHypergraph) {
 // ---------- IO robustness ----------
 
 TEST(EdgeCases, HmetisRejectsTruncatedInput) {
-  std::stringstream ss("3 4\n1 2\n");  // promises 3 edges, has 1
-  EXPECT_FALSE(ht::hypergraph::try_read_hmetis(ss).ok());
+  // Promises 3 edges, has 1.
+  EXPECT_FALSE(ht::hypergraph::try_read_hmetis("3 4\n1 2\n").ok());
 }
 
 TEST(EdgeCases, HmetisRejectsPinOutOfRange) {
-  std::stringstream ss("1 3\n1 9\n");
-  EXPECT_FALSE(ht::hypergraph::try_read_hmetis(ss).ok());
+  EXPECT_FALSE(ht::hypergraph::try_read_hmetis("1 3\n1 9\n").ok());
 }
 
 // ---------- oracle degenerate inputs ----------

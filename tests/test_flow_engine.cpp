@@ -31,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "reduction/clique_expansion.hpp"
 #include "reduction/star_expansion.hpp"
-#include "util/piece_allocator.hpp"
 #include "util/rng.hpp"
 #include "util/run_context.hpp"
 #include "util/thread_pool.hpp"
@@ -574,21 +573,6 @@ TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
     }
   }
   ht::ThreadPool::reset_global();
-}
-
-TEST(FlowEngine, PoolAllocatorMetricsRegister) {
-  // The per-query terminal marks come from the thread's PieceAllocator;
-  // after a few queries the pool gauge and the reuse counter must both be
-  // live.
-  ht::Rng rng(65);
-  const auto g = ht::graph::gnp_connected(40, 5.0 / 40, rng);
-  const ht::CutEngine engine;
-  auto& reuse = ht::obs::MetricsRegistry::global().counter("flow.pool_reuse");
-  const auto reuse_before = reuse.value();
-  for (int q = 0; q < 4; ++q)
-    (void)engine.min_edge_cut(g, {0}, {g.num_vertices() - 1});
-  EXPECT_GT(ht::WorkArena::local().pieces().bytes_reserved(), 0u);
-  EXPECT_GT(reuse.value(), reuse_before);
 }
 
 TEST(SubsetView, EmptySubsetsAreValidAndMaterializeEmpty) {

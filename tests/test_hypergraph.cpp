@@ -137,7 +137,7 @@ TEST(HypergraphIo, RoundTripUnweighted) {
   h.finalize();
   std::stringstream ss;
   ht::hypergraph::write_hmetis(h, ss);
-  auto parsed = ht::hypergraph::try_read_hmetis(ss);
+  auto parsed = ht::hypergraph::try_read_hmetis(ss.str());
   ASSERT_TRUE(parsed.ok());
   const Hypergraph& r = *parsed;
   ASSERT_EQ(r.num_vertices(), 4);
@@ -149,24 +149,32 @@ TEST(HypergraphIo, RoundTripUnweighted) {
 }
 
 TEST(HypergraphIo, RoundTripWeighted) {
+  // Weights read back bit for bit, including ones that 6 significant
+  // digits would round (1234567.891 -> 1234570, 1/3 -> 0.333333,
+  // 0.1 + 0.2 -> 0.3).
+  const double awkward[] = {1234567.891, 1.0 / 3.0, 0.1 + 0.2};
   Hypergraph h(3);
   h.add_edge({0, 1}, 2.5);
   h.add_edge({1, 2}, 1.0);
+  for (const double w : awkward) h.add_edge({0, 2}, w);
   h.set_vertex_weight(2, 4.0);
+  h.set_vertex_weight(1, awkward[1]);
   h.finalize();
   std::stringstream ss;
   ht::hypergraph::write_hmetis(h, ss);
-  auto parsed = ht::hypergraph::try_read_hmetis(ss);
+  auto parsed = ht::hypergraph::try_read_hmetis(ss.str());
   ASSERT_TRUE(parsed.ok());
   const Hypergraph& r = *parsed;
-  EXPECT_DOUBLE_EQ(r.edge_weight(0), 2.5);
-  EXPECT_DOUBLE_EQ(r.vertex_weight(2), 4.0);
-  EXPECT_DOUBLE_EQ(r.vertex_weight(0), 1.0);
+  ASSERT_EQ(r.num_edges(), h.num_edges());
+  for (EdgeId e = 0; e < h.num_edges(); ++e)
+    EXPECT_EQ(r.edge_weight(e), h.edge_weight(e)) << "edge " << e;
+  for (VertexId v = 0; v < h.num_vertices(); ++v)
+    EXPECT_EQ(r.vertex_weight(v), h.vertex_weight(v)) << "vertex " << v;
 }
 
 TEST(HypergraphIo, SkipsComments) {
-  std::stringstream ss("% comment\n2 3\n1 2\n% another\n2 3\n");
-  auto parsed = ht::hypergraph::try_read_hmetis(ss);
+  auto parsed = ht::hypergraph::try_read_hmetis(
+      "% comment\n2 3\n1 2\n% another\n2 3\n");
   ASSERT_TRUE(parsed.ok());
   const Hypergraph& h = *parsed;
   EXPECT_EQ(h.num_edges(), 2);

@@ -5,99 +5,13 @@
 #include <cstdint>
 #include <cstring>
 
-#include "flow/cut_engine.hpp"
 #include "graph/generators.hpp"
 #include "hypergraph/hypergraph.hpp"
-#include "lp/fractional_cut.hpp"
-#include "lp/simplex.hpp"
 #include "lp/spectral.hpp"
 #include "reduction/clique_expansion.hpp"
 #include "util/rng.hpp"
 
 namespace {
-
-using ht::lp::Constraint;
-using ht::lp::LpStatus;
-using ht::lp::Relation;
-using ht::lp::SimplexSolver;
-
-TEST(Simplex, TextbookMaximization) {
-  // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> opt 36 at (2, 6).
-  SimplexSolver solver(2);
-  solver.add_constraint({{1, 0}, Relation::kLessEqual, 4});
-  solver.add_constraint({{0, 2}, Relation::kLessEqual, 12});
-  solver.add_constraint({{3, 2}, Relation::kLessEqual, 18});
-  const auto r = solver.maximize({3, 5});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 36.0, 1e-7);
-  EXPECT_NEAR(r.solution[0], 2.0, 1e-7);
-  EXPECT_NEAR(r.solution[1], 6.0, 1e-7);
-}
-
-TEST(Simplex, Minimization) {
-  // min x + y s.t. x + 2y >= 4, 3x + y >= 6 -> opt at intersection
-  // (8/5, 6/5), value 14/5.
-  SimplexSolver solver(2);
-  solver.add_constraint({{1, 2}, Relation::kGreaterEqual, 4});
-  solver.add_constraint({{3, 1}, Relation::kGreaterEqual, 6});
-  const auto r = solver.minimize({1, 1});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 14.0 / 5.0, 1e-7);
-}
-
-TEST(Simplex, EqualityConstraints) {
-  // max x + 2y s.t. x + y = 3, x <= 2 -> (1...) best y: x=0,y=3 obj 6?
-  // x + y = 3, x <= 2, x,y >= 0; max x + 2y -> x=0, y=3 -> 6.
-  SimplexSolver solver(2);
-  solver.add_constraint({{1, 1}, Relation::kEqual, 3});
-  solver.add_constraint({{1, 0}, Relation::kLessEqual, 2});
-  const auto r = solver.maximize({1, 2});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 6.0, 1e-7);
-}
-
-TEST(Simplex, DetectsInfeasible) {
-  SimplexSolver solver(1);
-  solver.add_constraint({{1}, Relation::kLessEqual, 1});
-  solver.add_constraint({{1}, Relation::kGreaterEqual, 2});
-  EXPECT_EQ(solver.maximize({1}).status, LpStatus::kInfeasible);
-}
-
-TEST(Simplex, DetectsUnbounded) {
-  SimplexSolver solver(2);
-  solver.add_constraint({{1, -1}, Relation::kLessEqual, 1});
-  EXPECT_EQ(solver.maximize({1, 1}).status, LpStatus::kUnbounded);
-}
-
-TEST(Simplex, UnconstrainedCases) {
-  SimplexSolver solver(2);
-  EXPECT_EQ(solver.maximize({1, 0}).status, LpStatus::kUnbounded);
-  const auto r = solver.maximize({-1, -1});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 0.0, 1e-9);
-}
-
-TEST(Simplex, NegativeRhsNormalization) {
-  // x - y <= -1 means y >= x + 1; max x s.t. x <= 3, x - y <= -1, y <= 5.
-  SimplexSolver solver(2);
-  solver.add_constraint({{1, 0}, Relation::kLessEqual, 3});
-  solver.add_constraint({{1, -1}, Relation::kLessEqual, -1});
-  solver.add_constraint({{0, 1}, Relation::kLessEqual, 5});
-  const auto r = solver.maximize({1, 0});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 3.0, 1e-7);
-}
-
-TEST(Simplex, DegenerateTerminates) {
-  // Degenerate vertex; Bland's rule must still terminate.
-  SimplexSolver solver(2);
-  solver.add_constraint({{1, 1}, Relation::kLessEqual, 1});
-  solver.add_constraint({{1, 1}, Relation::kLessEqual, 1});
-  solver.add_constraint({{1, 0}, Relation::kLessEqual, 1});
-  const auto r = solver.maximize({1, 1});
-  ASSERT_EQ(r.status, LpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, 1.0, 1e-7);
-}
 
 TEST(Spectral, FiedlerSeparatesTwoCliques) {
   // Two K5's joined by one edge: Fiedler vector signs split the cliques.
@@ -264,40 +178,6 @@ TEST(Spectral, MatchesScatterIterationBitForBit) {
   const auto expansion = ht::reduction::clique_expansion(h);
   expect_bitwise_equal_fiedler(expansion, {}, 500);
   expect_bitwise_equal_fiedler(expansion, expansion.vertex_weights(), 501);
-}
-
-TEST(FractionalCut, MatchesFlowOnPath) {
-  const ht::graph::Graph g = ht::graph::path(5);
-  const auto lp = ht::lp::fractional_vertex_cut(g, {0}, {4});
-  EXPECT_TRUE(lp.converged);
-  EXPECT_NEAR(lp.value, 1.0, 1e-6);
-}
-
-TEST(FractionalCut, DisconnectedTerminalsCostZero) {
-  ht::graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.finalize();
-  const auto lp = ht::lp::fractional_vertex_cut(g, {0}, {3});
-  EXPECT_TRUE(lp.converged);
-  EXPECT_NEAR(lp.value, 0.0, 1e-9);
-}
-
-TEST(FractionalCut, LpEqualsIntegralVertexCut) {
-  // The vertex-cut LP is integral: LP value == gamma from the flow solver.
-  ht::Rng rng(4);
-  for (int trial = 0; trial < 6; ++trial) {
-    ht::graph::Graph g = ht::graph::gnp_connected(9, 0.35, rng);
-    for (ht::graph::VertexId v = 0; v < g.num_vertices(); ++v)
-      g.set_vertex_weight(v, static_cast<double>(1 + rng.next_below(3)));
-    auto pick = rng.sample_without_replacement(9, 2);
-    const std::vector<ht::graph::VertexId> a{pick[0]}, b{pick[1]};
-    const auto lp = ht::lp::fractional_vertex_cut(g, a, b);
-    const auto flow = ht::CutEngine().min_vertex_cut(g, a, b);
-    ASSERT_TRUE(lp.converged);
-    EXPECT_NEAR(lp.value, flow.value, 1e-5)
-        << "trial " << trial << " terminals " << pick[0] << "," << pick[1];
-  }
 }
 
 }  // namespace

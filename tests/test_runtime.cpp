@@ -414,8 +414,7 @@ TEST(FlowPropagation, HypergraphGomoryHuStopsCleanly) {
 // ---------- hMetis IO statuses ----------
 
 StatusOr<ht::hypergraph::Hypergraph> parse(const std::string& text) {
-  std::istringstream is(text);
-  return ht::hypergraph::try_read_hmetis(is);
+  return ht::hypergraph::try_read_hmetis(text);
 }
 
 TEST(IoStatus, WellFormedRoundTrip) {

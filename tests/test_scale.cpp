@@ -245,56 +245,115 @@ TEST(ShardIo, StoreEvictsFifoUnderResidencyCap) {
 
 TEST(StreamIngest, ManifestMatchesInMemoryReader) {
   const auto dir = temp_dir("ht_scale_ingest");
-  const std::string hmetis = write_ring_hmetis(dir, 6, 8);
-  IngestOptions options;
-  options.shards = 6;
-  options.temp_dir = (dir / "shards").string();
-  auto manifest = ht::scale::shard_hmetis_file(hmetis, options);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
-  auto parsed = ht::Solver::read_hmetis(hmetis);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(manifest->num_vertices, parsed->num_vertices());
-  EXPECT_EQ(manifest->num_edges, parsed->num_edges());
-  EXPECT_EQ(manifest->num_shards, 6);
-  EXPECT_GT(manifest->boundary_edges, 0);
-  EXPECT_TRUE(ht::scale::validate_manifest(*manifest).ok());
-
-  // Interior + boundary edge counts must partition the instance.
-  std::int64_t interior = 0;
-  for (int i = 0; i < manifest->num_shards; ++i) {
-    auto file = ShardFile::open(manifest->shard_paths[i]);
-    ASSERT_TRUE(file.ok());
-    interior += static_cast<std::int64_t>(file->total_edges());
+  // Valid, with comments, an indented comment, whitespace-only lines, CRLF
+  // endings, duplicate pins and both weight columns (fmt 11).
+  const std::string tricky = (dir / "tricky.hmetis").string();
+  {
+    std::ofstream out(tricky, std::ios::binary);
+    out << "% comment\r\n  \t% indented comment\r\n4 6 11\r\n \t \r\n"
+           "2.5 1 2 2 3\r\n0.5 3 4\r\n\r\n1 4 5 5 6\r\n3 6 1\r\n"
+           "1\r\n2\r\n0.25\r\n4\r\n  % between\r\n5\r\n6\r\n";
   }
-  EXPECT_EQ(interior + manifest->boundary_edges, manifest->num_edges);
+  const std::string ring = write_ring_hmetis(dir, 6, 8);
+  for (const std::string& hmetis : {ring, tricky}) {
+    SCOPED_TRACE(hmetis);
+    IngestOptions options;
+    options.shards = 6;
+    options.temp_dir = hmetis + ".shards";
+    auto manifest = ht::scale::shard_hmetis_file(hmetis, options);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().to_string();
+    auto parsed = ht::Solver::read_hmetis(hmetis);
+    ASSERT_TRUE(parsed.has_value()) << parsed.status().to_string();
+    EXPECT_EQ(manifest->num_vertices, parsed->num_vertices());
+    EXPECT_EQ(manifest->num_edges, parsed->num_edges());
+    EXPECT_EQ(manifest->total_edge_weight, parsed->total_edge_weight());
+    EXPECT_EQ(manifest->total_vertex_weight, parsed->total_vertex_weight());
+    EXPECT_EQ(manifest->num_shards, 6);
+    EXPECT_GT(manifest->boundary_edges, 0);
+    EXPECT_TRUE(ht::scale::validate_manifest(*manifest).ok());
+
+    // Interior + boundary edge counts must partition the instance.
+    std::int64_t interior = 0;
+    for (int i = 0; i < manifest->num_shards; ++i) {
+      auto file = ShardFile::open(manifest->shard_paths[i]);
+      ASSERT_TRUE(file.ok());
+      interior += static_cast<std::int64_t>(file->total_edges());
+    }
+    EXPECT_EQ(interior + manifest->boundary_edges, manifest->num_edges);
+  }
+  auto parsed = ht::Solver::read_hmetis(tricky);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->num_edges(), 4);
+  EXPECT_EQ(parsed->total_edge_weight(), 7.0);
+  EXPECT_EQ(parsed->total_vertex_weight(), 18.25);
+  EXPECT_EQ(parsed->edge_size(0), 3);  // "1 2 2 3"
 }
 
 TEST(StreamIngest, RejectsMalformedInputs) {
+  // Both build paths parse through one HmetisReader: every malformed text
+  // gets the same kInvalidArgument from the in-memory reader and from the
+  // sharded ingest.
+  const struct {
+    const char* text;
+    const char* message;
+  } bad[] = {
+      {"3 4\n1 2\n3 4\n",
+       "hMetis line 4: input ends after 2 of 3 hyperedge lines"},
+      {"1 4\n1 9\n", "hMetis line 2: pin \"9\" is not an integer in [1, 4]"},
+      {"1 4\n2 2\n", "hMetis line 2: hyperedge needs >= 2 distinct pins"},
+      {"1 4 7\n1 2\n", "hMetis line 1: fmt 7 is not one of 0, 1, 10, 11"},
+      {"", "hMetis line 1: input has no header \"m n [fmt]\""},
+      {"% only a comment\n", "hMetis line 2: input has no header \"m n [fmt]\""},
+      {"notanumber\n",
+       "hMetis line 1: bad header \"notanumber\", expected \"m n [fmt]\""},
+      {"2 4 7\n1 2\n3 4\n", "hMetis line 1: fmt 7 is not one of 0, 1, 10, 11"},
+      {"-1 4\n", "hMetis line 1: m = -1 is outside [0, 2^31 - 1]"},
+      {"2 4\n1 2\n", "hMetis line 3: input ends after 1 of 2 hyperedge lines"},
+      {"1 4\n1 x 2\n", "hMetis line 2: pin \"x\" is not an integer in [1, 4]"},
+      {"1 4 1\nw 1 2\n",
+       "hMetis line 2: edge weight \"w\" is not a finite number >= 0"},
+      {"1 4 10\n1 2\n1.5\n",
+       "hMetis line 4: input ends after 1 of 4 vertex weight lines"},
+      {"1 4\n3\n", "hMetis line 2: hyperedge needs >= 2 distinct pins"},
+      {"1 4 1\n-2 1 2\n",
+       "hMetis line 2: edge weight \"-2\" is not a finite number >= 0"},
+      {"1 4 1\nnan 1 2\n",
+       "hMetis line 2: edge weight \"nan\" is not a finite number >= 0"},
+      {"1 4 1\ninf 1 2\n",
+       "hMetis line 2: edge weight \"inf\" is not a finite number >= 0"},
+      {"1 2 10\n1 2\n1\n-3\n",
+       "hMetis line 4: vertex weight \"-3\" is not a finite number >= 0"},
+      {"2 3 abc\n1 2\n2 3\n",
+       "hMetis line 1: bad header \"2 3 abc\", expected \"m n [fmt]\""},
+      {"2 3 11 junk\n1 1 2\n1 2 3\n1\n1\n1\n",
+       "hMetis line 1: bad header \"2 3 11 junk\", expected \"m n [fmt]\""},
+      {"1 2 10\n1 2\n1 7\n1\n",
+       "hMetis line 3: a vertex weight line holds exactly one weight"},
+      // Refused at line 1, before anything is allocated per vertex.
+      {"1 4294967298\n1 2\n",
+       "hMetis line 1: n = 4294967298 is outside [0, 2^31 - 1]"},
+  };
   const auto dir = temp_dir("ht_scale_badinput");
   IngestOptions options;
   options.temp_dir = (dir / "shards").string();
-  auto write = [&](const char* name, const char* text) {
-    const auto path = dir / name;
-    std::ofstream out(path);
-    out << text;
-    return path.string();
-  };
-  // Header claims more edges than present.
-  EXPECT_FALSE(ht::scale::shard_hmetis_file(
-                   write("short.hmetis", "3 4\n1 2\n3 4\n"), options)
-                   .ok());
-  // Pin out of range.
-  EXPECT_FALSE(ht::scale::shard_hmetis_file(
-                   write("range.hmetis", "1 4\n1 9\n"), options)
-                   .ok());
-  // Degenerate edge (single distinct pin after dedup).
-  EXPECT_FALSE(ht::scale::shard_hmetis_file(
-                   write("tiny.hmetis", "1 4\n2 2\n"), options)
-                   .ok());
-  // Unknown fmt code.
-  EXPECT_FALSE(ht::scale::shard_hmetis_file(
-                   write("fmt.hmetis", "1 4 7\n1 2\n"), options)
-                   .ok());
+  int index = 0;
+  for (const auto& [text, message] : bad) {
+    SCOPED_TRACE(testing::Message() << "input: \"" << text << '"');
+    const std::string path =
+        (dir / ("bad" + std::to_string(index++) + ".hmetis")).string();
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    const auto in_memory = ht::Solver::read_hmetis(path);
+    const auto sharded = ht::scale::shard_hmetis_file(path, options);
+    EXPECT_FALSE(in_memory.has_value());
+    EXPECT_FALSE(sharded.has_value());
+    EXPECT_EQ(in_memory.status().code(), ht::StatusCode::kInvalidArgument);
+    EXPECT_EQ(sharded.status().code(), ht::StatusCode::kInvalidArgument);
+    EXPECT_EQ(in_memory.status().message(), message);
+    EXPECT_EQ(sharded.status().message(), message);
+  }
 }
 
 TEST(StreamIngest, ValidateManifestCatchesOverlappingRanges) {
