@@ -54,8 +54,9 @@
 // the streaming src/scale/ pipeline (the hMetis file is never fully
 // materialized); --memory-budget-mb caps resident shard bytes,
 // --resident caps the resident shard count, --temp-dir places the spill
-// files (default <out>.shards, removed after the build). The snapshot is
-// the same .htsnap format, served unchanged.
+// files (default <out>.shards; the build removes them, and the directory
+// once that leaves it empty). The snapshot is the same .htsnap format,
+// served unchanged.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>

@@ -5,7 +5,6 @@
 
 #include "cuttree/tree_bisection.hpp"
 #include "cuttree/vertex_cut_tree.hpp"
-#include "hypergraph/subset_view.hpp"
 #include "obs/trace.hpp"
 #include "partition/graph_bisection.hpp"
 #include "partition/sparsest_cut.hpp"
@@ -62,10 +61,9 @@ Phase1Result phase1_peel(const Hypergraph& h, double threshold,
       result.is_final = true;
       return result;
     }
-    // View of the piece; the sparsest-cut oracle needs a concrete
-    // hypergraph, so this is a materialization boundary.
-    const ht::hypergraph::SubsetView view(h, piece);
-    const auto sub = view.materialize();
+    // The sparsest-cut oracle runs on the piece's induced copy; local id i
+    // is piece[i].
+    const auto sub = ht::hypergraph::induced_subhypergraph(h, piece);
     ht::partition::SparsestCutResult sc;
     if (piece.size() <= 14) {
       sc = ht::partition::sparsest_hyperedge_cut_exact(sub.hypergraph);
@@ -80,10 +78,8 @@ Phase1Result phase1_peel(const Hypergraph& h, double threshold,
     std::vector<bool> in_small(piece.size(), false);
     for (VertexId local : sc.smaller_side)
       in_small[static_cast<std::size_t>(local)] = true;
-    for (std::size_t local = 0; local < piece.size(); ++local) {
-      (in_small[local] ? result.small : result.large)
-          .push_back(view.old_of(static_cast<VertexId>(local)));
-    }
+    for (std::size_t local = 0; local < piece.size(); ++local)
+      (in_small[local] ? result.small : result.large).push_back(piece[local]);
     return result;
   };
   const auto fold = [&](std::vector<VertexId>&& piece, PieceOutcome&& result,
@@ -145,11 +141,9 @@ PieceProfile build_piece_profile(const Hypergraph& h,
     span.arg("stopped", 1);
     return out;
   }
-  // One view, one materialization for the whole profile: both the k-cut
-  // oracle and the gap-filling loop below read the same induced copy
-  // (previously the loop rebuilt it per missing k).
-  const auto sub =
-      ht::hypergraph::SubsetView(h, out.vertices).materialize();
+  // One induced copy for the whole profile: both the k-cut oracle and the
+  // gap-filling loop below read it.
+  const auto sub = ht::hypergraph::induced_subhypergraph(h, out.vertices);
   const std::int32_t internal_kmax = std::min(kmax, size - 1);
   if (internal_kmax >= 1 && sub.hypergraph.num_vertices() >= 2) {
     auto profile = ht::partition::unbalanced_kcut_profile(
@@ -180,10 +174,12 @@ PieceProfile build_piece_profile(const Hypergraph& h,
     out.sets[static_cast<std::size_t>(size)] = out.vertices;
   }
   // Profiles should be usable at any k the DP may pick: fill gaps with
-  // prefix-extensions of the nearest smaller witness. The view supplies
-  // O(1) old-id -> local-id lookups; it is created after the oracle calls
-  // above so its arena remap stays live through this serial loop.
-  const ht::hypergraph::SubsetView local_ids(h, out.vertices);
+  // prefix-extensions of the nearest smaller witness.
+  std::vector<VertexId> local_of(static_cast<std::size_t>(h.num_vertices()),
+                                 -1);
+  for (std::size_t i = 0; i < out.vertices.size(); ++i)
+    local_of[static_cast<std::size_t>(out.vertices[i])] =
+        static_cast<VertexId>(i);
   for (std::int32_t k = 1;
        k < static_cast<std::int32_t>(out.cost.size()); ++k) {
     const auto idx = static_cast<std::size_t>(k);
@@ -193,7 +189,8 @@ PieceProfile build_piece_profile(const Hypergraph& h,
     std::vector<bool> used(out.vertices.size(), false);
     std::vector<VertexId> set = prev;
     for (VertexId v : prev)
-      used[static_cast<std::size_t>(local_ids.local_of(v))] = true;
+      used[static_cast<std::size_t>(local_of[static_cast<std::size_t>(v)])] =
+          true;
     for (std::size_t i = 0;
          i < out.vertices.size() &&
          set.size() < static_cast<std::size_t>(k);
@@ -202,9 +199,10 @@ PieceProfile build_piece_profile(const Hypergraph& h,
     }
     if (set.size() == static_cast<std::size_t>(k)) {
       // Cost: cut of the extended set inside the piece, evaluated on the
-      // single materialized copy from above.
+      // single induced copy from above.
       std::vector<VertexId> local_set;
-      for (VertexId v : set) local_set.push_back(local_ids.local_of(v));
+      for (VertexId v : set)
+        local_set.push_back(local_of[static_cast<std::size_t>(v)]);
       out.cost[idx] = sub.hypergraph.cut_weight(local_set);
       out.sets[idx] = std::move(set);
     }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "graph/subset_view.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "obs/trace.hpp"
 #include "partition/sparsest_cut.hpp"
@@ -122,26 +121,31 @@ DecompositionTreeResult build_decomposition_tree_run(
     // wrapped 2-uniform so the hypergraph oracle applies. The wrapper gets
     // the cluster's internal edges in increasing id, as a scan of the
     // parent's edge list would add them, but they are collected from the
-    // cluster's adjacency (each edge from its u endpoint). The view's
-    // remap must stay live until the wrapper is built (DESIGN.md §7).
-    const ht::graph::SubsetView view(g, vertices);
+    // cluster's adjacency (each edge from its u endpoint). local_of maps a
+    // vertex to its index in `vertices`, -1 outside the cluster.
+    std::vector<VertexId> local_of(static_cast<std::size_t>(n), -1);
+    for (std::size_t i = 0; i < vertices.size(); ++i)
+      local_of[static_cast<std::size_t>(vertices[i])] =
+          static_cast<VertexId>(i);
     std::vector<ht::graph::EdgeId> internal;
     for (VertexId v : vertices)
       for (const auto& a : g.neighbors(v))
-        if (view.contains(a.to) && g.edge(a.edge).u == v)
+        if (local_of[static_cast<std::size_t>(a.to)] != -1 &&
+            g.edge(a.edge).u == v)
           internal.push_back(a.edge);
     std::sort(internal.begin(), internal.end());
-    ht::hypergraph::Hypergraph wrapper(view.size());
+    ht::hypergraph::Hypergraph wrapper(static_cast<VertexId>(vertices.size()));
     for (const auto id : internal) {
       const auto& e = g.edge(id);
-      wrapper.add_edge({view.local_of(e.u), view.local_of(e.v)}, e.weight);
+      wrapper.add_edge({local_of[static_cast<std::size_t>(e.u)],
+                        local_of[static_cast<std::size_t>(e.v)]},
+                       e.weight);
     }
     wrapper.finalize();
 
     std::vector<std::vector<VertexId>> parts;
     // Part labels for set_cut, filled only by a two-way split: 0 outside
-    // the cluster, 1 + the part's index inside. An array of its own: the
-    // oracle may have waited on the pool, so the view's remap can be stale.
+    // the cluster, 1 + the part's index inside.
     std::vector<std::uint8_t> part_of;
     if (wrapper.num_edges() == 0) {
       // Disconnected dust: every vertex its own part.
@@ -163,7 +167,7 @@ DecompositionTreeResult build_decomposition_tree_run(
         part_of.assign(static_cast<std::size_t>(n), 0);
         std::vector<VertexId> small, large;
         for (std::size_t i = 0; i < vertices.size(); ++i) {
-          const VertexId v = view.old_of(static_cast<VertexId>(i));
+          const VertexId v = vertices[i];
           part_of[static_cast<std::size_t>(v)] = in_small[i] ? 1 : 2;
           (in_small[i] ? small : large).push_back(v);
         }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/subset_view.hpp"
 #include "obs/trace.hpp"
 #include "partition/min_ratio_cut.hpp"
 #include "util/wavefront.hpp"
@@ -75,10 +74,9 @@ VertexCutTreeResult build_vertex_cut_tree(const Graph& g,
       result.is_final = true;
       return result;
     }
-    // View of the piece; the min-ratio oracle needs a concrete graph, so
-    // this is a materialization boundary.
-    const ht::graph::SubsetView view(g, piece);
-    const auto sub = view.materialize();
+    // The min-ratio oracle runs on the piece's induced copy; local id i is
+    // piece[i].
+    const auto sub = ht::graph::induced_subgraph(g, piece);
     ht::partition::VertexSeparator sep;
     if (piece.size() <= kExactOracleLimit) {
       sep = ht::partition::min_ratio_vertex_cut_exact(sub.graph);
@@ -94,7 +92,7 @@ VertexCutTreeResult build_vertex_cut_tree(const Graph& g,
     span.arg("split", 1);
     span.arg("separator_size", sep.x.size());
     for (VertexId local : sep.x)
-      result.separator.push_back(view.old_of(local));
+      result.separator.push_back(piece[static_cast<std::size_t>(local)]);
     // Recurse on the connected components of piece \ X. (A and B are
     // unions of components by construction, but splitting to actual
     // components peels faster and never hurts domination.)
@@ -107,8 +105,7 @@ VertexCutTreeResult build_vertex_cut_tree(const Graph& g,
     for (std::size_t local = 0; local < piece.size(); ++local) {
       const auto c = comp[local];
       if (c >= 0)
-        result.children[static_cast<std::size_t>(c)].push_back(
-            view.old_of(static_cast<VertexId>(local)));
+        result.children[static_cast<std::size_t>(c)].push_back(piece[local]);
     }
     return result;
   };

@@ -1,7 +1,7 @@
 #include "flow/cut_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <optional>
 #include <span>
 
@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/run_context.hpp"
-#include "util/work_arena.hpp"
 
 namespace ht::flow {
 
@@ -22,12 +21,6 @@ using HyperVertexId = ht::hypergraph::VertexId;
 
 // --- metrics ---------------------------------------------------------------
 
-ht::obs::Histogram& solve_ns_histogram() {
-  static ht::obs::Histogram& h =
-      ht::obs::MetricsRegistry::global().histogram("flow.solve_ns");
-  return h;
-}
-
 /// Max-flow invocations (min_edge_cut / min_vertex_cut /
 /// min_hyperedge_cut), complete or interrupted.
 ht::obs::Counter& max_flow_calls_counter() {
@@ -36,42 +29,84 @@ ht::obs::Counter& max_flow_calls_counter() {
   return c;
 }
 
-/// Records the end-to-end time of one min-cut query (solve + witness,
-/// excluding network construction) into the "flow.solve_ns" histogram.
-class SolveTimer {
+// --- network cache ---------------------------------------------------------
+
+/// The calling thread's four most recently used flow networks, keyed by
+/// (kind, structure uid); a miss rebuilds the least recently used slot.
+/// Hits, misses and the largest footprint of one thread's cached networks
+/// are the metrics "arena.hits", "arena.misses" and "arena.peak_bytes".
+/// A query uses its network only inside itself and never waits on the
+/// pool, so no other task on this thread can evict the network mid-query.
+class NetworkCache {
  public:
-  SolveTimer() : start_(std::chrono::steady_clock::now()) {}
-  ~SolveTimer() {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    solve_ns_histogram().record(static_cast<std::uint64_t>(ns));
+  static NetworkCache& local() {
+    thread_local NetworkCache cache;
+    return cache;
   }
-  SolveTimer(const SolveTimer&) = delete;
-  SolveTimer& operator=(const SolveTimer&) = delete;
+
+  template <typename BuildFn>
+  FlowNetwork& acquire(FlowNetworkKind kind, std::uint64_t uid,
+                       BuildFn&& build) {
+    static ht::obs::Counter& hits =
+        ht::obs::MetricsRegistry::global().counter("arena.hits");
+    static ht::obs::Counter& misses =
+        ht::obs::MetricsRegistry::global().counter("arena.misses");
+    static ht::obs::Gauge& peak_bytes =
+        ht::obs::MetricsRegistry::global().gauge("arena.peak_bytes");
+    for (Slot& slot : slots_) {
+      if (slot.uid == uid && slot.kind == kind) {
+        slot.last_use = ++clock_;
+        hits.add();
+        return slot.network;
+      }
+    }
+    misses.add();
+    // Empty slots have last_use 0, so they fill before anything is evicted.
+    Slot& slot = *std::min_element(
+        slots_.begin(), slots_.end(),
+        [](const Slot& a, const Slot& b) { return a.last_use < b.last_use; });
+    slot = Slot{};  // frees the evicted network before the build
+    slot.network = build();
+    slot.kind = kind;
+    slot.uid = uid;
+    slot.last_use = ++clock_;
+    std::size_t bytes = 0;
+    for (const Slot& s : slots_) bytes += s.network.memory_bytes();
+    peak_bytes.update_max(static_cast<std::int64_t>(bytes));
+    return slot.network;
+  }
+
+  void clear() {
+    for (Slot& slot : slots_) slot = Slot{};
+  }
 
  private:
-  std::chrono::steady_clock::time_point start_;
+  struct Slot {
+    FlowNetworkKind kind = kEdgeCutNetwork;
+    std::uint64_t uid = 0;  // 0: empty
+    std::uint64_t last_use = 0;
+    FlowNetwork network;
+  };
+  std::array<Slot, 4> slots_;
+  std::uint64_t clock_ = 0;
 };
 
-// --- shared helpers --------------------------------------------------------
-
-/// The cached engine for (kind, uid), or a freshly built one parked in
-/// `fresh` when reuse is off / uid is 0. The returned reference must not be
-/// held across a thread-pool wait (see WorkArena).
+/// The cached network for (kind, uid), or a freshly built one parked in
+/// `fresh` when reuse is off or uid is 0.
 template <typename BuildFn>
-FlowNetwork& acquire_network(std::uint32_t kind, std::uint64_t uid,
+FlowNetwork& acquire_network(FlowNetworkKind kind, std::uint64_t uid,
                              std::optional<FlowNetwork>& fresh,
                              BuildFn&& build) {
-  if (flow_reuse_enabled() && uid != 0) {
-    return ht::WorkArena::local().acquire<FlowNetwork>(
-        kind, uid, static_cast<BuildFn&&>(build));
-  }
+  if (flow_reuse_enabled() && uid != 0)
+    return NetworkCache::local().acquire(kind, uid,
+                                         static_cast<BuildFn&&>(build));
   fresh.emplace(build());
   return *fresh;
 }
 
 }  // namespace
+
+void clear_network_cache() { NetworkCache::local().clear(); }
 
 // ---------------------------------------------------------------------------
 // Point queries
@@ -88,7 +123,6 @@ EdgeCutResult CutEngine::min_edge_cut(
   span.arg("a", a.size());
   span.arg("b", b.size());
   max_flow_calls_counter().add();
-  SolveTimer timer;
   HT_CHECK(!a.empty() && !b.empty());
   const NodeId n = g.num_vertices();
   std::optional<FlowNetwork> fresh;
@@ -129,7 +163,6 @@ VertexCutResult CutEngine::min_vertex_cut(
   span.arg("a", a.size());
   span.arg("b", b.size());
   max_flow_calls_counter().add();
-  SolveTimer timer;
   HT_CHECK(!a.empty() && !b.empty());
   const GraphVertexId n = g.num_vertices();
   // Node splitting: v_in = 2v, v_out = 2v+1 (see vertex_cut_network).
@@ -169,7 +202,6 @@ HyperedgeCutResult CutEngine::min_hyperedge_cut(
   span.arg("a", a.size());
   span.arg("b", b.size());
   max_flow_calls_counter().add();
-  SolveTimer timer;
   HT_CHECK(!a.empty() && !b.empty());
   const auto n = h.num_vertices();
   // Lawler expansion node ids (see hyperedge_cut_network).

@@ -136,6 +136,11 @@ class CutEngine {
       const ht::hypergraph::Hypergraph& h) const;
 };
 
+/// Drops every flow network cached on the calling thread, so the next
+/// query on each structure builds its network again (tests use it to
+/// compare cold and warm runs).
+void clear_network_cache();
+
 // ---------------------------------------------------------------------------
 // Witness predicates (plain combinatorics, no flow involved)
 

@@ -1,4 +1,4 @@
-// Reusable flow-network arena: build the arc structure once, then answer
+// Reusable flow network: build the arc structure once, then answer
 // many max-flow queries by reset-and-reuse instead of reallocation.
 //
 // The cut-tree stack (Gomory–Hu, the Section 3.1 vertex cut tree, the
@@ -41,7 +41,8 @@
 // the previous query changed. (The super terminals still scan their one
 // dormant arc per vertex slot in every phase.)
 //
-// Engines are cached per thread in WorkArena keyed by the structure uid of
+// The flow engine (cut_engine.cpp) caches the four most recently used
+// networks per thread, keyed by FlowNetworkKind and the structure uid of
 // the underlying (hyper)graph; FlowReuseScope(false) disables the cache so
 // tests can compare the fresh-build path.
 #pragma once
@@ -64,8 +65,8 @@ using NodeId = std::int32_t;
 inline constexpr double kInfiniteCapacity =
     std::numeric_limits<double>::max() / 4;
 
-/// Cache-key namespace for WorkArena::acquire: which expansion a cached
-/// FlowNetwork materializes (one structure uid can back several kinds).
+/// Which expansion a FlowNetwork materializes; with the structure uid it
+/// keys the engine's network cache (one uid can back several kinds).
 enum FlowNetworkKind : std::uint32_t {
   kEdgeCutNetwork = 1,
   kVertexCutNetwork = 2,
@@ -94,14 +95,14 @@ class FlowNetwork {
  public:
   FlowNetwork() = default;
 
-  /// Arena for edge min cuts on g: node per vertex, undirected arc per
+  /// Network for edge min cuts on g: node per vertex, undirected arc per
   /// edge, terminal slots at every vertex.
   static FlowNetwork edge_cut_network(const ht::graph::Graph& g);
-  /// Arena for vertex min cuts on g: node splitting v_in = 2v, v_out =
+  /// Network for vertex min cuts on g: node splitting v_in = 2v, v_out =
   /// 2v+1, capacity w(v) on the split arc; source attaches at v_in,
   /// sink at v_out (the cut may pick terminal vertices themselves).
   static FlowNetwork vertex_cut_network(const ht::graph::Graph& g);
-  /// Arena for hyperedge min cuts on h: Lawler expansion with hyperedge
+  /// Network for hyperedge min cuts on h: Lawler expansion with hyperedge
   /// nodes n+2e / n+2e+1 and infinite membership arcs.
   static FlowNetwork hyperedge_cut_network(const ht::hypergraph::Hypergraph& h);
 
@@ -127,7 +128,7 @@ class FlowNetwork {
   /// RunContext (deadline/cancel polled every flow_check_rounds augmenting
   /// rounds). An interrupted solve returns a partial flow value whose
   /// residual reachability need not be a cut; callers must not treat it as
-  /// a min cut. The arena itself stays healthy — the next reset() restores
+  /// a min cut. The network itself stays healthy — the next reset() restores
   /// exact capacities as usual.
   bool last_flow_complete() const { return last_flow_complete_; }
 
@@ -150,7 +151,7 @@ class FlowNetwork {
   /// into a scratch buffer invalidated by the next query on this network.
   const std::vector<char>& source_side();
 
-  /// Approximate heap footprint, for the arena peak-allocation counter.
+  /// Approximate heap footprint, for the network cache's "arena.peak_bytes".
   std::size_t memory_bytes() const;
 
  private:

@@ -3,7 +3,8 @@
 #include <numeric>
 #include <sstream>
 
-#include "util/work_arena.hpp"
+#include "obs/metrics.hpp"
+#include "util/structure_uid.hpp"
 
 namespace ht::graph {
 
@@ -119,6 +120,9 @@ connected_components_excluding(const Graph& g,
 
 InducedSubgraph induced_subgraph(const Graph& g,
                                  const std::vector<VertexId>& vertices) {
+  static ht::obs::Counter& materializations =
+      ht::obs::MetricsRegistry::global().counter("view.materializations");
+  materializations.add();
   std::vector<VertexId> new_of_old(static_cast<std::size_t>(g.num_vertices()),
                                    -1);
   InducedSubgraph out;

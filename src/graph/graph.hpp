@@ -77,7 +77,8 @@ class Graph {
   bool finalized() const { return finalized_; }
 
   /// Process-unique structure id, assigned by finalize(); 0 while the graph
-  /// is mutable ("uncacheable"). WorkArena keys cached flow engines on it.
+  /// is mutable ("uncacheable"). The flow engine keys its cached networks
+  /// on it.
   std::uint64_t uid() const { return finalized_ ? uid_ : 0; }
 
   /// v's incident edges, listed in increasing edge id, parallel edges
@@ -129,7 +130,8 @@ connected_components_excluding(const Graph& g,
                                const std::vector<bool>& removed);
 
 /// Extracts the sub-graph induced by `vertices`; `old_of_new[i]` maps the
-/// new id i back to the original vertex. Vertex weights are carried over.
+/// new id i back to the original vertex. Vertex weights are carried over
+/// and edges keep the parent's order. Counts one "view.materializations".
 struct InducedSubgraph {
   Graph graph;
   std::vector<VertexId> old_of_new;

@@ -75,9 +75,9 @@ namespace ht {
 /// thread pool is sized to context().threads, and context().seed — when
 /// set — overrides the per-algorithm options seed.
 ///
-/// Runs on the same Solver share process-wide caches (flow arenas,
-/// WorkArena object caches); an interrupted run leaves them consistent,
-/// so the next run reuses them with no leaked state.
+/// Runs on the same Solver share the flow engine's per-thread network
+/// caches; an interrupted run leaves them consistent, so the next run
+/// reuses them with no leaked state.
 ///
 /// All methods return StatusOr with anytime semantics: has_value() is
 /// true even when ok() is false — the value is then a valid best-so-far

@@ -5,7 +5,8 @@
 #include <numeric>
 #include <sstream>
 
-#include "util/work_arena.hpp"
+#include "obs/metrics.hpp"
+#include "util/structure_uid.hpp"
 
 namespace ht::hypergraph {
 
@@ -119,6 +120,9 @@ std::string Hypergraph::debug_string() const {
 
 InducedSubhypergraph induced_subhypergraph(
     const Hypergraph& h, const std::vector<VertexId>& vertices) {
+  static ht::obs::Counter& materializations =
+      ht::obs::MetricsRegistry::global().counter("view.materializations");
+  materializations.add();
   std::vector<VertexId> new_of_old(
       static_cast<std::size_t>(h.num_vertices()), -1);
   InducedSubhypergraph out;

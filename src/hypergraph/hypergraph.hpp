@@ -44,7 +44,7 @@ class Hypergraph {
   bool finalized() const { return finalized_; }
 
   /// Process-unique structure id, assigned by finalize(); 0 while mutable
-  /// ("uncacheable"). WorkArena keys cached flow engines on it.
+  /// ("uncacheable"). The flow engine keys its cached networks on it.
   std::uint64_t uid() const { return finalized_ ? uid_ : 0; }
 
   /// Pins of hyperedge e. Requires finalize(): before it, add_edge() is
@@ -123,7 +123,9 @@ class Hypergraph {
 
 /// Sub-hypergraph induced by `vertices`: pins are restricted to the set and
 /// hyperedges with fewer than 2 remaining pins are dropped (they cannot be
-/// cut inside the piece). `old_of_new` maps new vertex ids back.
+/// cut inside the piece). `old_of_new` maps new vertex ids back. Vertex
+/// weights are carried over and hyperedges keep the parent's order. Counts
+/// one "view.materializations".
 struct InducedSubhypergraph {
   Hypergraph hypergraph;
   std::vector<VertexId> old_of_new;

@@ -135,8 +135,7 @@ Status HmetisReader::next_edge(Weight& weight, std::vector<VertexId>& pins) {
 Status HmetisReader::read_vertex_weights(std::vector<Weight>& weights) {
   HT_DCHECK(edges_read_ == m_);
   weights.assign(static_cast<std::size_t>(n_), 1.0);
-  if (!vertex_weights_) return Status::Ok();
-  for (VertexId v = 0; v < n_; ++v) {
+  for (VertexId v = 0; vertex_weights_ && v < n_; ++v) {
     if (!next_line())
       return error("input ends after " + std::to_string(v) + " of " +
                    std::to_string(n_) + " vertex weight lines");
@@ -146,6 +145,7 @@ Status HmetisReader::read_vertex_weights(std::vector<Weight>& weights) {
     if (!next_token(line_).empty())
       return error("a vertex weight line holds exactly one weight");
   }
+  if (next_line()) return error("more lines than the header promises");
   return Status::Ok();
 }
 

@@ -7,11 +7,11 @@
 // edge lines `[weight] pin pin ...`, then for fmt 10 and 11 n lines of one
 // vertex weight each. Blank lines and lines whose first non-blank character
 // is % are skipped; blanks are space, \t, \r, \v and \f, so CRLF reads like
-// LF. Text after the last expected line is ignored. Anything else is
-// refused with kInvalidArgument "hMetis line N: ...": m or n outside
-// [0, 2^31 - 1], another fmt, a missing or extra token, a weight that is
-// not a finite number >= 0, an edge without 2 distinct pins in [1, n], or
-// input that ends early.
+// LF. After the last expected line only such lines may follow. Anything
+// else is refused with kInvalidArgument "hMetis line N: ...": m or n
+// outside [0, 2^31 - 1], another fmt, a missing or extra token, a weight
+// that is not a finite number >= 0, an edge without 2 distinct pins in
+// [1, n], input that ends early, or more lines than the header promises.
 #pragma once
 
 #include <iosfwd>
@@ -31,7 +31,7 @@ void write_hmetis_file(const Hypergraph& h, const std::string& path);
 
 /// Pull parser over hMetis text: Open() reads the header, next_edge()
 /// returns the m hyperedges in file order, then read_vertex_weights()
-/// the n vertex weights.
+/// the n vertex weights and checks that nothing follows them.
 class HmetisReader {
  public:
   /// Parses the header of `text`, which must outlive the reader.
@@ -43,7 +43,8 @@ class HmetisReader {
   /// Reads the next hyperedge line: its weight (1 without edge weights)
   /// and its pins, sorted, distinct and 0-based.
   Status next_edge(Weight& weight, std::vector<VertexId>& pins);
-  /// Reads the n vertex weights (all 1 without them); call after the m
+  /// Reads the n vertex weights (all 1 without them) and refuses any
+  /// further line that is neither blank nor a comment; call after the m
   /// edges.
   Status read_vertex_weights(std::vector<Weight>& weights);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "hypergraph/subset_view.hpp"
 #include "partition/fm.hpp"
 #include "partition/unbalanced_kcut.hpp"
 
@@ -84,10 +83,8 @@ void recurse(const Hypergraph& h, const std::vector<VertexId>& vertices,
       out[static_cast<std::size_t>(v)] = first_part;
     return;
   }
-  // View of the piece; FM needs a concrete hypergraph, so this is a
-  // materialization boundary.
-  const ht::hypergraph::SubsetView view(h, vertices);
-  const auto sub = view.materialize();
+  // FM runs on the piece's induced copy; local id i is vertices[i].
+  const auto sub = ht::hypergraph::induced_subhypergraph(h, vertices);
   BisectionSolution bisection;
   if (sub.hypergraph.num_edges() == 0) {
     bisection.side.assign(vertices.size(), false);
@@ -99,8 +96,7 @@ void recurse(const Hypergraph& h, const std::vector<VertexId>& vertices,
   }
   std::vector<VertexId> left, right;
   for (std::size_t i = 0; i < vertices.size(); ++i)
-    (bisection.side[i] ? right : left)
-        .push_back(view.old_of(static_cast<VertexId>(i)));
+    (bisection.side[i] ? right : left).push_back(vertices[i]);
   recurse(h, left, parts / 2, first_part, out, rng);
   recurse(h, right, parts / 2, first_part + parts / 2, out, rng);
 }
@@ -130,8 +126,7 @@ KWaySolution kway_peel(const Hypergraph& h, std::int32_t k, ht::Rng& rng) {
   std::vector<VertexId> remaining(static_cast<std::size_t>(n));
   for (VertexId v = 0; v < n; ++v) remaining[static_cast<std::size_t>(v)] = v;
   for (std::int32_t p = 0; p + 1 < k; ++p) {
-    const ht::hypergraph::SubsetView view(h, remaining);
-    const auto sub = view.materialize();
+    const auto sub = ht::hypergraph::induced_subhypergraph(h, remaining);
     std::vector<VertexId> peeled_local;
     if (sub.hypergraph.num_edges() == 0 ||
         static_cast<VertexId>(remaining.size()) <= per) {
@@ -143,8 +138,9 @@ KWaySolution kway_peel(const Hypergraph& h, std::int32_t k, ht::Rng& rng) {
     }
     std::vector<bool> peeled(remaining.size(), false);
     for (VertexId local : peeled_local) {
-      part[static_cast<std::size_t>(view.old_of(local))] = p;
-      peeled[static_cast<std::size_t>(local)] = true;
+      const auto i = static_cast<std::size_t>(local);
+      part[static_cast<std::size_t>(remaining[i])] = p;
+      peeled[i] = true;
     }
     std::vector<VertexId> next;
     next.reserve(remaining.size() - peeled_local.size());

@@ -423,10 +423,17 @@ Status build_snapshot_sharded(const std::string& hmetis_path,
       options.temp_dir.empty() ? out_path + ".shards" : options.temp_dir;
   ingest.memory_budget_bytes = options.memory_budget_bytes;
   auto manifest = shard_hmetis_file(hmetis_path, ingest);
-  if (!manifest.ok()) return manifest.status();
-  Status built = build_from_manifest(*manifest, out_path, options, report);
+  Status built = manifest.status();
   std::error_code ec;
-  std::filesystem::remove_all(ingest.temp_dir, ec);
+  if (manifest.ok()) {
+    built = build_from_manifest(*manifest, out_path, options, report);
+    for (const auto& spill : manifest->shard_paths)
+      std::filesystem::remove(spill, ec);
+  }
+  // A refused ingest has removed its own spill files. The directory goes
+  // only once it is empty, so a caller's directory keeps the files the
+  // build did not write.
+  std::filesystem::remove(ingest.temp_dir, ec);
   return built;
 }
 

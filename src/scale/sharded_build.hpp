@@ -48,7 +48,9 @@ struct ShardOptions {
   /// Provenance seed stored in the snapshot meta block.
   std::uint64_t seed = 0;
   std::string build_info;
-  /// Spill directory; "" derives `<out_path>.shards`.
+  /// Spill directory; "" derives `<out_path>.shards`. On every return, a
+  /// refused input included, the build removes the spill files it wrote
+  /// there, and then the directory if that leaves it empty.
   std::string temp_dir;
 };
 
@@ -76,9 +78,9 @@ struct ShardBuildReport {
 /// Streams `hmetis_path` into shards under options.temp_dir, builds the
 /// stitched snapshot, and atomically publishes it at `out_path` (same
 /// .htsnap format the in-memory build writes; TreeServer serves it
-/// unchanged). Observes the bound RunContext (deadline / cancel /
-/// memory budget); an interrupted build still publishes a valid
-/// snapshot and the stop reason is surfaced by the Solver wrapper.
+/// unchanged). Observes the bound RunContext (deadline / cancel / piece
+/// budget); an interrupted build still publishes a valid snapshot and
+/// the stop reason is surfaced by the Solver wrapper.
 Status build_snapshot_sharded(const std::string& hmetis_path,
                               const std::string& out_path,
                               const ShardOptions& options,

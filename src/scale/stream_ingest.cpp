@@ -50,6 +50,18 @@ StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
                                          (4 * static_cast<std::size_t>(k + 1)))
           : kDefaultFlushBytes;
 
+  // Until the manifest is returned, a refusal removes the spill files this
+  // call created. Declared before the writers, so they close first.
+  struct RemoveSpillsUnlessKept {
+    const std::vector<std::string>& paths;
+    bool keep = false;
+    ~RemoveSpillsUnlessKept() {
+      std::error_code remove_ec;
+      if (!keep)
+        for (const auto& spill : paths)
+          std::filesystem::remove(spill, remove_ec);
+    }
+  } spills{manifest.shard_paths};
   std::vector<ShardWriter> writers;
   writers.reserve(static_cast<std::size_t>(k) + 1);
   for (std::int64_t i = 0; i <= k; ++i) {
@@ -119,6 +131,7 @@ StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
   span.arg("pins", manifest.num_pins);
   span.arg("shards", manifest.num_shards);
   span.arg("boundary_edges", manifest.boundary_edges);
+  spills.keep = true;
   return manifest;
 }
 

@@ -54,7 +54,8 @@ struct ShardManifest {
 
 /// Streams `path` into shard spill files under options.temp_dir. Refuses
 /// malformed input with HmetisReader's kInvalidArgument (the same status
-/// hypergraph::try_read_hmetis_file returns), and n = 0 with its own.
+/// hypergraph::try_read_hmetis_file returns), and n = 0 with its own; a
+/// refusal removes the spill files it had written.
 StatusOr<ShardManifest> shard_hmetis_file(const std::string& path,
                                           const IngestOptions& options);
 

@@ -101,10 +101,4 @@ Status write_bytes_atomic(const std::string& path, const std::string& bytes) {
   return Status::Ok();
 }
 
-Status Writer::write_file(const std::string& path) const {
-  auto bytes = serialize();
-  if (!bytes.ok()) return bytes.status();
-  return write_bytes_atomic(path, *bytes);
-}
-
 }  // namespace ht::snapshot

@@ -5,7 +5,9 @@
 //   snapshot::Writer w;
 //   w.add_span(SectionKind::kVertexWeights, std::span<const double>(...));
 //   ...
-//   Status s = w.write_file("out.htsnap");   // atomic: tmp file + rename
+//   StatusOr<std::string> bytes = w.serialize();
+//   if (!bytes.ok()) return bytes.status();
+//   return write_bytes_atomic("out.htsnap", *bytes);  // tmp file + rename
 //
 // serialize() is deterministic: the same sections in the same order
 // produce byte-identical output. The header's created_unix_s is always 0,
@@ -57,16 +59,9 @@ class Writer {
     add_bytes(SectionKind::kBuildInfo, 1, text.data(), text.size());
   }
 
-  std::size_t section_count() const { return sections_.size(); }
-
   /// Renders the complete file image. kInvalidArgument on duplicate
   /// section kinds or an elem_size that does not divide a payload.
   StatusOr<std::string> serialize() const;
-
-  /// serialize() + atomic publish: writes `path + ".tmp"` and renames it
-  /// over `path`, so a TreeServer hot-swapping on the path never observes
-  /// a half-written snapshot.
-  Status write_file(const std::string& path) const;
 
  private:
   struct Pending {

@@ -2,19 +2,19 @@
 //
 // Every public entry point (via ht::Solver or the *_run builders) executes
 // under a RunContext describing when the run must stop (absolute deadline,
-// cancel token, logical piece budget, arena memory budget) and how it is
-// configured (thread count, seed, trace sink). The context is bound to the
-// calling thread with a RunScope; ThreadPool::enqueue re-binds it around
-// every task the run spawns, exactly like trace-span context, so the flow
-// engine's augmentation loops and the wavefront's fold boundaries can poll
-// it from any depth without signature changes on every intermediate layer.
+// cancel token, logical piece budget) and how it is configured (thread
+// count, seed, trace sink). The context is bound to the calling thread
+// with a RunScope; ThreadPool::enqueue re-binds it around every task the
+// run spawns, exactly like trace-span context, so the flow engine's
+// augmentation loops and the wavefront's fold boundaries can poll it from
+// any depth without signature changes on every intermediate layer.
 //
 // Stop semantics are cooperative and *latched*: the first failed check
 // records a terminal status in the shared RunState; every later stopped()
 // poll is one relaxed atomic load. Builders unwind at piece boundaries and
 // return valid best-so-far results tagged with that status — nothing
-// throws, arenas and WorkArena caches stay consistent (an interrupted
-// FlowNetwork query is healed by the next reset()).
+// throws, and the flow engine's cached networks stay usable (an
+// interrupted FlowNetwork query is healed by the next reset()).
 //
 // Determinism: wall-clock stops (deadline, cancel) end the run at a
 // schedule-dependent point, but the result is still valid. The *piece

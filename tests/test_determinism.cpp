@@ -81,9 +81,10 @@ TEST(Determinism, HypergraphGomoryHuAcrossThreadCounts) {
 }
 
 TEST(Determinism, VertexCutTreeViewPathAcrossThreadCounts) {
-  // Deep-recursion configuration: every wave runs SubsetView + the
-  // vertex-cut flow arena on worker threads (thread-local caches), so this
-  // pins the refactored view path, not just the top-level split.
+  // Deep-recursion configuration: every wave cuts its pieces out as
+  // induced copies and runs their vertex-cut flows on worker threads
+  // (thread-local network caches), so this pins the piece path at every
+  // level, not just the top-level split.
   ht::Rng rng(2024);
   const auto g = ht::graph::gnp_connected(60, 5.0 / 60, rng);
   ht::cuttree::VertexCutTreeOptions opt;
@@ -114,7 +115,8 @@ TEST(Determinism, GomoryHuIndependentOfFlowReuse) {
 }
 
 TEST(Determinism, KWayRecursiveBisectionAcrossRuns) {
-  // kway uses SubsetView at every recursion level; same seed, same part.
+  // kway cuts an induced copy at every recursion level; same seed, same
+  // part.
   ht::Rng rng(31);
   const auto h = ht::hypergraph::random_uniform(32, 64, 3, rng);
   ht::Rng r1(5), r2(5);

@@ -1,5 +1,6 @@
-// Equivalence of the zero-rebuild flow engine and subgraph views with the
-// build-per-call / copy-per-level paths they replaced.
+// Equivalence of the flow engine's cached networks with the build-per-call
+// path, the cache's eviction order, and the induced copies that every
+// recursive builder cuts its pieces out with.
 //
 // Two layers of evidence:
 //  * Direct A/B: every min-cut primitive is run with the engine cache on
@@ -25,16 +26,13 @@
 #include "flow/cut_engine.hpp"
 #include "flow/flow_network.hpp"
 #include "graph/generators.hpp"
-#include "graph/subset_view.hpp"
 #include "hypergraph/generators.hpp"
-#include "hypergraph/subset_view.hpp"
 #include "obs/metrics.hpp"
 #include "reduction/clique_expansion.hpp"
 #include "reduction/star_expansion.hpp"
 #include "util/rng.hpp"
 #include "util/run_context.hpp"
 #include "util/thread_pool.hpp"
-#include "util/work_arena.hpp"
 
 namespace {
 
@@ -272,6 +270,26 @@ TEST(FlowEngine, ReuseCountersShowReuse) {
   EXPECT_GT(metrics.gauge("arena.peak_bytes").value(), 0);
 }
 
+TEST(FlowEngine, NetworkCacheKeepsTheFourMostRecentStructures) {
+  // A thread caches the networks of the four structures it queried last
+  // and rebuilds in place of the least recently used one. One query per
+  // graph, in this order: 0 1 2 3 miss, 0 hits, 4 misses and evicts 1,
+  // 0 2 3 4 hit, 1 misses. Evicting the oldest build instead of the least
+  // recently used would evict 0 for 4 and miss 7 times.
+  ht::Rng rng(61);
+  std::vector<ht::graph::Graph> graphs;
+  for (int i = 0; i < 5; ++i)
+    graphs.push_back(ht::graph::gnp_connected(12, 0.4, rng));
+  ht::flow::clear_network_cache();
+  auto& metrics = ht::obs::MetricsRegistry::global();
+  metrics.reset_all();
+  for (const std::size_t i : {0, 1, 2, 3, 0, 4, 0, 2, 3, 4, 1})
+    (void)ht::CutEngine().min_edge_cut(graphs[i], {0}, {1});
+  EXPECT_EQ(metrics.counter("arena.misses").value(), 6u);
+  EXPECT_EQ(metrics.counter("arena.hits").value(), 5u);
+  EXPECT_EQ(metrics.counter("flow.builds").value(), 6u);
+}
+
 // The reference solver's terminal arcs below carry the arena's infinity;
 // the two must agree on what "infinite" means.
 static_assert(ht::flow::kInfiniteCapacity ==
@@ -346,78 +364,10 @@ TEST(FlowEngine, ArenaDinicAgreesWithReferenceDinic) {
   }
 }
 
-TEST(SubsetView, GraphMaterializeMatchesInducedSubgraph) {
-  ht::Rng rng(57);
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(15 + rng.next_below(30));
-    const auto g = ht::graph::gnp_connected(n, 4.0 / n, rng);
-    std::vector<ht::graph::VertexId> subset;
-    for (ht::graph::VertexId v = 0; v < n; ++v)
-      if (rng.next_below(3) != 0) subset.push_back(v);
-    if (subset.empty()) continue;
-    const ht::graph::SubsetView view(g, subset);
-    const auto a = view.materialize();
-    const auto b = ht::graph::induced_subgraph(g, subset);
-    ASSERT_EQ(a.old_of_new, b.old_of_new);
-    ASSERT_EQ(a.graph.num_vertices(), b.graph.num_vertices());
-    ASSERT_EQ(a.graph.num_edges(), b.graph.num_edges());
-    for (ht::graph::EdgeId e = 0; e < a.graph.num_edges(); ++e) {
-      EXPECT_EQ(a.graph.edge(e).u, b.graph.edge(e).u);
-      EXPECT_EQ(a.graph.edge(e).v, b.graph.edge(e).v);
-      EXPECT_EQ(a.graph.edge(e).weight, b.graph.edge(e).weight);
-    }
-    for (ht::graph::VertexId v = 0; v < a.graph.num_vertices(); ++v)
-      EXPECT_EQ(a.graph.vertex_weight(v), b.graph.vertex_weight(v));
-    // Round-trip id maps agree with the copies.
-    for (std::size_t i = 0; i < subset.size(); ++i)
-      EXPECT_EQ(view.old_of(static_cast<ht::graph::VertexId>(i)), subset[i]);
-  }
-}
-
-TEST(SubsetView, HypergraphMaterializeMatchesInducedSubhypergraph) {
-  ht::Rng rng(58);
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(15 + rng.next_below(25));
-    const auto h = ht::hypergraph::random_uniform(n, 2 * n, 3, rng);
-    std::vector<ht::hypergraph::VertexId> subset;
-    for (ht::hypergraph::VertexId v = 0; v < n; ++v)
-      if (rng.next_below(3) != 0) subset.push_back(v);
-    if (subset.empty()) continue;
-    const ht::hypergraph::SubsetView view(h, subset);
-    const auto a = view.materialize();
-    const auto b = ht::hypergraph::induced_subhypergraph(h, subset);
-    ASSERT_EQ(a.old_of_new, b.old_of_new);
-    ASSERT_EQ(a.hypergraph.num_vertices(), b.hypergraph.num_vertices());
-    ASSERT_EQ(a.hypergraph.num_edges(), b.hypergraph.num_edges());
-    for (ht::hypergraph::EdgeId e = 0; e < a.hypergraph.num_edges(); ++e) {
-      EXPECT_EQ(a.hypergraph.edge_weight(e), b.hypergraph.edge_weight(e));
-      ASSERT_EQ(a.hypergraph.edge_size(e), b.hypergraph.edge_size(e));
-      for (std::int32_t i = 0; i < a.hypergraph.edge_size(e); ++i)
-        EXPECT_EQ(a.hypergraph.pins(e)[static_cast<std::size_t>(i)],
-                  b.hypergraph.pins(e)[static_cast<std::size_t>(i)]);
-    }
-    for (ht::hypergraph::VertexId v = 0; v < a.hypergraph.num_vertices(); ++v)
-      EXPECT_EQ(a.hypergraph.vertex_weight(v),
-                b.hypergraph.vertex_weight(v));
-  }
-}
-
-TEST(SubsetView, LocalOfIsInverseOfOldOf) {
-  ht::Rng rng(59);
-  const auto g = ht::graph::gnp_connected(30, 4.0 / 30, rng);
-  std::vector<ht::graph::VertexId> subset{2, 5, 7, 11, 23, 29};
-  const ht::graph::SubsetView view(g, subset);
-  for (std::size_t i = 0; i < subset.size(); ++i)
-    EXPECT_EQ(view.local_of(subset[i]),
-              static_cast<ht::graph::VertexId>(i));
-  EXPECT_EQ(view.local_of(0), -1);
-  EXPECT_FALSE(view.contains(1));
-  EXPECT_TRUE(view.contains(23));
-}
-
 // --- goldens captured from the pre-refactor seed build -------------------
-// A failure here means the refactor changed an output byte; the arena /
-// view paths are required to be observationally identical.
+// A failure here means the refactor changed an output byte; the cached
+// networks and the induced copies are required to be observationally
+// identical to the paths they replaced.
 
 TEST(FlowEngineGolden, DecompositionTreeUnchanged) {
   ht::Rng rng(4242);
@@ -437,7 +387,8 @@ TEST(FlowEngineGolden, VertexCutTreeUnchanged) {
 
 TEST(FlowEngineGolden, VertexCutTreeDeepRecursionUnchanged) {
   // threshold_override high enough to force splits all the way down — the
-  // path that exercises SubsetView + the vertex-cut flow arena hardest.
+  // path that exercises the induced copies and the vertex-cut network
+  // cache hardest.
   ht::Rng rng(2024);
   const auto g = ht::graph::gnp_connected(60, 5.0 / 60, rng);
   ht::cuttree::VertexCutTreeOptions opt;
@@ -575,55 +526,50 @@ TEST(FlowEngineGolden, GoldensHoldAcrossThreadCounts) {
   ht::ThreadPool::reset_global();
 }
 
-TEST(SubsetView, EmptySubsetsAreValidAndMaterializeEmpty) {
+// Empty and one-vertex pieces come up in every recursion that cuts a
+// (hyper)graph into pieces.
+TEST(InducedCopies, EmptySubsetsAreValidAndMaterializeEmpty) {
   ht::Rng rng(7);
   const auto g = ht::graph::gnp_connected(12, 0.4, rng);
   {
-    const ht::graph::SubsetView view(g, {});
-    EXPECT_EQ(view.size(), 0);
-    EXPECT_FALSE(view.contains(0));
-    EXPECT_DOUBLE_EQ(view.total_vertex_weight(), 0.0);
-    const auto sub = view.materialize();
+    const auto sub = ht::graph::induced_subgraph(g, {});
+    EXPECT_TRUE(sub.graph.finalized());
     EXPECT_EQ(sub.graph.num_vertices(), 0);
+    EXPECT_EQ(sub.graph.num_edges(), 0);
+    EXPECT_DOUBLE_EQ(sub.graph.total_vertex_weight(), 0.0);
     EXPECT_TRUE(sub.old_of_new.empty());
   }
   ht::Rng hrng(8);
   const auto h = ht::hypergraph::random_uniform(12, 24, 3, hrng);
   {
-    const ht::hypergraph::SubsetView view(h, {});
-    EXPECT_EQ(view.size(), 0);
-    EXPECT_FALSE(view.contains(0));
-    EXPECT_DOUBLE_EQ(view.total_vertex_weight(), 0.0);
-    const auto sub = view.materialize();
+    const auto sub = ht::hypergraph::induced_subhypergraph(h, {});
+    EXPECT_TRUE(sub.hypergraph.finalized());
     EXPECT_EQ(sub.hypergraph.num_vertices(), 0);
     EXPECT_EQ(sub.hypergraph.num_edges(), 0);
+    EXPECT_DOUBLE_EQ(sub.hypergraph.total_vertex_weight(), 0.0);
+    EXPECT_TRUE(sub.old_of_new.empty());
   }
 }
 
-TEST(SubsetView, SingletonSubsetsKeepTheVertexAndDropAllEdges) {
+TEST(InducedCopies, SingletonSubsetsKeepTheVertexAndDropAllEdges) {
   ht::Rng rng(9);
-  const auto g = ht::graph::gnp_connected(10, 0.5, rng);
+  auto g = ht::graph::gnp_connected(10, 0.5, rng);
+  g.set_vertex_weight(4, 2.5);
   {
-    const ht::graph::SubsetView view(g, {4});
-    EXPECT_EQ(view.size(), 1);
-    EXPECT_EQ(view.old_of(0), 4);
-    EXPECT_EQ(view.local_of(4), 0);
-    EXPECT_EQ(view.local_of(5), -1);
-    EXPECT_DOUBLE_EQ(view.total_vertex_weight(), g.vertex_weight(4));
-    const auto sub = view.materialize();
+    const auto sub = ht::graph::induced_subgraph(g, {4});
     EXPECT_EQ(sub.graph.num_vertices(), 1);
+    EXPECT_EQ(sub.old_of_new, (std::vector<ht::graph::VertexId>{4}));
+    EXPECT_EQ(sub.graph.vertex_weight(0), 2.5);
     EXPECT_EQ(sub.graph.num_edges(), 0);  // no 2-pin edge survives
   }
   ht::Rng hrng(10);
-  const auto h = ht::hypergraph::random_uniform(10, 30, 3, hrng);
+  auto h = ht::hypergraph::random_uniform(10, 30, 3, hrng);
+  h.set_vertex_weight(4, 3.5);
   {
-    const ht::hypergraph::SubsetView view(h, {4});
-    EXPECT_EQ(view.size(), 1);
-    EXPECT_EQ(view.old_of(0), 4);
-    EXPECT_TRUE(view.contains(4));
-    EXPECT_FALSE(view.contains(3));
-    const auto sub = view.materialize();
+    const auto sub = ht::hypergraph::induced_subhypergraph(h, {4});
     EXPECT_EQ(sub.hypergraph.num_vertices(), 1);
+    EXPECT_EQ(sub.old_of_new, (std::vector<ht::hypergraph::VertexId>{4}));
+    EXPECT_EQ(sub.hypergraph.vertex_weight(0), 3.5);
     EXPECT_EQ(sub.hypergraph.num_edges(), 0);  // < 2 surviving pins
   }
 }
@@ -656,7 +602,7 @@ void PrintTo(const FlowWork& w, std::ostream* os) {
 
 template <typename Fn>
 FlowWork count_flow_work(Fn&& workload) {
-  ht::WorkArena::local().clear_cache();
+  ht::flow::clear_network_cache();
   auto& metrics = ht::obs::MetricsRegistry::global();
   metrics.reset_all();
   workload();

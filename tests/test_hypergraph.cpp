@@ -39,7 +39,7 @@ TEST(Hypergraph, PinsDeduplicatedAndSorted) {
 }
 
 // Repeat finalize() must be a cheap no-op, not a rebuild: the uid (which
-// keys WorkArena-cached flow networks) must not be reassigned, and the
+// keys the flow engine's cached networks) must not be reassigned, and the
 // CSR storage must not be touched — spans handed out before the second
 // call stay valid. The sharded build and the serving layer both
 // re-finalize defensively, so a regressing rebuild here would silently

@@ -38,6 +38,22 @@ std::filesystem::path temp_dir(const std::string& name) {
   return dir;
 }
 
+/// Puts a file of the caller's into a sharded build's spill directory: the
+/// build may remove the spill files it writes there, and nothing else.
+std::filesystem::path plant_callers_file(const std::string& temp_dir) {
+  std::filesystem::create_directories(temp_dir);
+  const auto path = std::filesystem::path(temp_dir) / "callers.txt";
+  std::ofstream(path) << "not a spill file\n";
+  return path;
+}
+
+/// True when `file` is the only entry left in its directory.
+bool only_entry_left(const std::filesystem::path& file) {
+  if (!std::filesystem::exists(file)) return false;
+  const std::filesystem::directory_iterator it(file.parent_path());
+  return std::distance(begin(it), end(it)) == 1;
+}
+
 /// A ring of `clusters` dense blocks of `size` vertices: every block
 /// carries one fat hyperedge over all members plus a triangle lattice,
 /// and consecutive blocks are bridged by two 2-pin edges. The global min
@@ -291,8 +307,9 @@ TEST(StreamIngest, ManifestMatchesInMemoryReader) {
 
 TEST(StreamIngest, RejectsMalformedInputs) {
   // Both build paths parse through one HmetisReader: every malformed text
-  // gets the same kInvalidArgument from the in-memory reader and from the
-  // sharded ingest.
+  // gets the same kInvalidArgument from the in-memory reader, from the
+  // sharded ingest and from the whole sharded build, which also removes
+  // the spill files the ingest wrote before it refused the text.
   const struct {
     const char* text;
     const char* message;
@@ -332,6 +349,10 @@ TEST(StreamIngest, RejectsMalformedInputs) {
       // Refused at line 1, before anything is allocated per vertex.
       {"1 4294967298\n1 2\n",
        "hMetis line 1: n = 4294967298 is outside [0, 2^31 - 1]"},
+      {"2 3\n1 2\n2 3\n1 3\n",
+       "hMetis line 4: more lines than the header promises"},
+      {"1 2 10\n1 2\n1\n1\n7\n",
+       "hMetis line 5: more lines than the header promises"},
   };
   const auto dir = temp_dir("ht_scale_badinput");
   IngestOptions options;
@@ -353,6 +374,13 @@ TEST(StreamIngest, RejectsMalformedInputs) {
     EXPECT_EQ(sharded.status().code(), ht::StatusCode::kInvalidArgument);
     EXPECT_EQ(in_memory.status().message(), message);
     EXPECT_EQ(sharded.status().message(), message);
+    const std::string snapshot = path + ".htsnap";
+    const ht::Status built =
+        ht::Solver().build_snapshot_sharded(path, snapshot);
+    EXPECT_EQ(built.code(), ht::StatusCode::kInvalidArgument);
+    EXPECT_EQ(built.message(), message);
+    EXPECT_FALSE(std::filesystem::exists(snapshot + ".shards"));
+    EXPECT_FALSE(std::filesystem::exists(snapshot));
   }
 }
 
@@ -557,11 +585,15 @@ TEST(ShardedBuild, RejectsDisconnectedInstance) {
   ShardOptions options;
   options.shards = 2;
   options.temp_dir = (dir / "shards").string();
+  const auto callers = plant_callers_file(options.temp_dir);
   ht::Solver solver;
   const ht::Status status = solver.build_snapshot_sharded(
       path.string(), (dir / "out.htsnap").string(), options);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ht::StatusCode::kInvalidArgument);
+  // Refused after the whole ingest: its three spill files are gone, the
+  // caller's file and directory stay.
+  EXPECT_TRUE(only_entry_left(callers));
 }
 
 TEST(ShardedBuild, InterruptedRunStillPublishesValidSnapshot) {
@@ -575,10 +607,12 @@ TEST(ShardedBuild, InterruptedRunStillPublishesValidSnapshot) {
   ShardOptions options;
   options.shards = 6;
   options.temp_dir = (dir / "shards").string();
+  const auto callers = plant_callers_file(options.temp_dir);
   const std::string snap = (dir / "out.htsnap").string();
   ht::scale::ShardBuildReport report;
   const ht::Status status =
       solver.build_snapshot_sharded(hmetis, snap, options, &report);
+  EXPECT_TRUE(only_entry_left(callers));  // the spill files are gone
   EXPECT_FALSE(status.ok());  // the stop reason is surfaced...
   EXPECT_FALSE(report.complete);
   auto server = ht::TreeServer::open(snap);  // ...but the snapshot serves
